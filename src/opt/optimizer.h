@@ -65,7 +65,8 @@ struct optimize_options {
     /// Symmetric circuits make the all-equal starting vector a stationary
     /// point of every coordinate (e.g. a comparator at 0.5: each equality
     /// term is flat in each single weight). When a sweep changes nothing,
-    /// probe three deterministic perturbations and continue from the best.
+    /// probe five deterministic perturbations (all +d, all -d, alternating
+    /// +/-d, all 0.9, all 0.1) and continue from the best.
     bool saddle_escape = true;
     double saddle_perturbation = 0.1;
     /// Per-sweep trust region: a coordinate moves at most this far from its

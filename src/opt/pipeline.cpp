@@ -96,19 +96,29 @@ void minimize_stage::run(optimize_context& cx) {
     // within a block move simultaneously (Jacobi); blocks see each
     // other's updates (Gauss-Seidel), which preserves the sequential
     // sweep's convergence on circuits with coupled inputs.
+    // Flat terms (p1 == p0 after the fit) stay out of the solver's list
+    // and reduce to their smallest p0, which keeps the solve
+    // bit-identical to one over all of F^ (see minimize.cpp).
     const double lo = cx.options.weight_min;
     const double hi = cx.options.weight_max;
-    std::vector<affine_fault> f01(cx.hard.size());
+    std::vector<affine_fault> sloped;
+    sloped.reserve(cx.hard.size());
     weight_vector stepped_weights = cx.res.weights;
     for (std::size_t i = cx.block_begin; i < cx.block_end; ++i) {
         const std::vector<double>& p_lo = cx.prepared[2 * (i - cx.block_begin)];
         const std::vector<double>& p_hi =
             cx.prepared[2 * (i - cx.block_begin) + 1];
+        sloped.clear();
+        double flat_p0 = std::numeric_limits<double>::infinity();
         bool any_dependence = false;
         for (std::size_t k = 0; k < cx.hard.size(); ++k) {
             const double slope = (p_hi[k] - p_lo[k]) / (hi - lo);
             const double at_zero = p_lo[k] - lo * slope;
-            f01[k] = {at_zero, at_zero + slope};
+            const affine_fault f{at_zero, at_zero + slope};
+            if (f.p1 != f.p0)
+                sloped.push_back(f);
+            else
+                flat_p0 = std::min(flat_p0, f.p0);
             if (std::abs(slope) > 1e-15) any_dependence = true;
         }
         // A coordinate none of the relevant faults depends on is left
@@ -116,7 +126,7 @@ void minimize_stage::run(optimize_context& cx) {
         if (!any_dependence) continue;
 
         const minimize_result m = minimize_single_input(
-            f01, cx.n_new, cx.options.weight_min, cx.options.weight_max);
+            sloped, cx.n_new, lo, hi, flat_p0);
         const double stepped =
             std::clamp(m.y, cx.res.weights[i] - cx.options.trust_step,
                        cx.res.weights[i] + cx.options.trust_step);

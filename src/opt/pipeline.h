@@ -55,7 +55,7 @@ struct optimize_context {
     const netlist& nl;
     const std::vector<fault>& faults;
     detect_estimator& analysis;
-    const optimize_options& options;
+    const optimize_options options;  ///< a copy: callers may pass a temporary
     double q;                 ///< -ln(1 - confidence)
     normalize_exec exec{};    ///< sharding for ANALYSIS/NORMALIZE
 
@@ -141,7 +141,11 @@ public:
 };
 
 /// MINIMIZE: fit the affine models from PREPARE and step the block's
-/// coordinates simultaneously (trust region + grid snap).
+/// coordinates simultaneously (trust region + grid snap). The fit splits
+/// F^ per coordinate into sloped terms, which the Newton solve iterates
+/// over, and flat ones (p1 == p0: faults outside the input's fanout
+/// cone), which reduce to their smallest p0. Bit-identical to solving
+/// over all of F^, at the cost of the cone instead of F^ per iteration.
 class minimize_stage final : public optimize_stage {
 public:
     const char* name() const override { return "MINIMIZE"; }

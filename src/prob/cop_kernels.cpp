@@ -267,8 +267,8 @@ __attribute__((target("avx2"))) void sweep_lane_groups_avx2(
 }  // namespace
 
 bool forward_sweep_vectorized(const circuit_view& cv,
-                              std::span<const double> weights,
-                              std::span<double> p) {
+                              [[maybe_unused]] std::span<const double> weights,
+                              [[maybe_unused]] std::span<double> p) {
     if (!cv.has_lane_groups()) return false;
     if (simd::active_isa() == simd::isa::scalar) return false;
 #if defined(WRPT_SIMD_AVX2)

@@ -251,10 +251,6 @@ stream::wait_result stream::wait_readable(int timeout_ms) {
     }
 }
 
-void stream::shutdown_read() {
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void stream::shutdown_write() {
     if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
 }
@@ -322,17 +318,6 @@ line_status line_reader::read_line(std::string& out, int timeout_ms) {
 
 // --- listener ---------------------------------------------------------------
 
-listener::listener(const endpoint& ep, int backlog) : endpoint_(ep) {
-    // Self-pipe for a portable accept() wakeup (see shutdown()).
-    if (::pipe(wake_fds_) != 0) fail_errno("socket: cannot create wake pipe");
-    try {
-        init(ep, backlog);
-    } catch (...) {
-        close();  // a throwing constructor runs no destructor
-        throw;
-    }
-}
-
 namespace {
 
 /// Is anyone actually listening at the unix-domain `addr`? A non-blocking
@@ -362,7 +347,7 @@ bool unix_listener_alive(const std::string& path, address& addr) {
 
 }  // namespace
 
-void listener::init(const endpoint& ep, int backlog) {
+listener::listener(const endpoint& ep, int backlog) : endpoint_(ep) {
     fd_ = open_socket(ep);
     if (ep.kind == endpoint::transport::tcp) {
         const int on = 1;
@@ -433,65 +418,10 @@ listener::accept_status listener::accept_nonblocking(stream& out) {
     }
 }
 
-stream listener::accept() {
-    for (;;) {
-        // Poll the listening fd alongside the wake pipe, so shutdown()
-        // interrupts a blocked accept on every POSIX platform (not just
-        // the ones where shutdown(2) on a listening socket does).
-        pollfd fds[2] = {};
-        fds[0].fd = fd_;
-        fds[0].events = POLLIN;
-        fds[1].fd = wake_fds_[0];
-        fds[1].events = POLLIN;
-        const int ready = ::poll(fds, 2, -1);
-        if (ready < 0) {
-            if (errno == EINTR) continue;
-            return stream();
-        }
-        // The wake byte is deliberately never drained: once shut down,
-        // every later accept() returns invalid immediately.
-        if (fds[1].revents != 0) return stream();
-        if (fds[0].revents == 0) continue;
-        const int fd = ::accept(fd_, nullptr, nullptr);
-        if (fd >= 0) return stream(fd);
-        if (errno == EINTR) continue;
-        // A connection that was reset while still in the backlog is the
-        // *client's* failure, not the listener's — a daemon must not
-        // drain because one peer hung up early.
-        if (errno == ECONNABORTED || errno == EPROTO) continue;
-        // Out of descriptors: back off and retry; the reaper frees fds
-        // as sessions finish, and draining here would kill every live
-        // session because of a transient spike.
-        if (errno == EMFILE || errno == ENFILE) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-            continue;
-        }
-        // EINVAL after shutdown(), or a genuinely fatal listener error:
-        // report "no more connections" and let the server drain.
-        return stream();
-    }
-}
-
-void listener::shutdown() {
-    // The pipe write is the portable wakeup; the shutdown(2) is a
-    // harmless fast path where it works.
-    if (wake_fds_[1] >= 0) {
-        const char byte = 1;
-        [[maybe_unused]] const ssize_t n = ::write(wake_fds_[1], &byte, 1);
-    }
-    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 void listener::close() {
     if (fd_ >= 0) {
         ::close(fd_);
         fd_ = -1;
-    }
-    for (int& wfd : wake_fds_) {
-        if (wfd >= 0) {
-            ::close(wfd);
-            wfd = -1;
-        }
     }
     if (unlink_on_close_) {
         ::unlink(endpoint_.path.c_str());

@@ -11,18 +11,16 @@
 //                real front end ahead of it for remote traffic).
 //   stream       a move-only connected-socket fd: send_all (SIGPIPE-free
 //                via MSG_NOSIGNAL), recv_some, poll-based wait_readable
-//                with a timeout, and half-close (shutdown_read is how
-//                the server turns "drain now" into EOF for a blocked
-//                reader without racing the fd's lifetime).
+//                with a timeout, the reactor's non-blocking recv/send,
+//                and half-close of the write side or both sides.
 //   line_reader  buffered newline framing over a stream with a hard
 //                max-line cap, so a hostile client streaming an endless
 //                line costs bounded memory and gets a disconnect, never
 //                a blown process. A final unterminated line before EOF
 //                is delivered once (matching the stdin serve loop).
-//   listener     bind/listen/accept plus shutdown() to wake a blocked
-//                accept — the drain hook. Owns the unix socket file and
-//                unlinks it on close; resolves an ephemeral TCP port at
-//                bind time.
+//   listener     bind/listen plus a non-blocking accept the reactor
+//                polls. Owns the unix socket file and unlinks it on
+//                close; resolves an ephemeral TCP port at bind time.
 //   client       the tiny blocking client used by tests, the CI smoke
 //                and `wrpt_cli request`: connect (with a bounded retry
 //                window so a just-started daemon is not a race), send a
@@ -128,10 +126,6 @@ public:
     /// reports ready (the following recv_some returns EOF).
     wait_result wait_readable(int timeout_ms);
 
-    /// Half-close the read side: a thread blocked in recv_some/poll on
-    /// this fd wakes with EOF. Safe to call from another thread while a
-    /// reader is blocked (the fd stays open, so no lifetime race).
-    void shutdown_read();
     /// Half-close the write side: the peer sees EOF after draining what
     /// was already sent; this end can still receive.
     void shutdown_write();
@@ -202,7 +196,7 @@ public:
     ///                 the caller must back off and retry later, KEEPING
     ///                 existing connections alive — the pending peer
     ///                 stays in the backlog meanwhile
-    ///   closed      — the listener was shut down or hit a fatal error
+    ///   closed      — the listener was closed or hit a fatal error
     enum class accept_status : std::uint8_t {
         accepted,
         would_block,
@@ -215,24 +209,10 @@ public:
     /// internally; the statuses above are the only outcomes.
     accept_status accept_nonblocking(stream& out);
 
-    /// Block for the next connection. Returns an invalid stream once
-    /// shutdown() was called (or on a fatal listener error).
-    stream accept();
-
-    /// Wake a blocked accept(); all later accepts return invalid. Safe
-    /// from another thread — the listening fd stays open until close().
-    /// Implemented with a self-pipe the accept loop polls, so it works on
-    /// every POSIX platform (shutdown(2) on a listening socket wakes
-    /// accept on Linux but is ENOTCONN elsewhere).
-    void shutdown();
-
     void close();
 
 private:
-    void init(const endpoint& ep, int backlog);
-
     int fd_ = -1;
-    int wake_fds_[2] = {-1, -1};  ///< self-pipe: [read, write]
     endpoint endpoint_;
     bool unlink_on_close_ = false;
 };

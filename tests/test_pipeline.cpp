@@ -6,8 +6,12 @@
 
 #include "opt/pipeline.h"
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,7 @@
 #include "gen/comparator.h"
 #include "gen/random_circuit.h"
 #include "gen/sharded.h"
+#include "gen/suite.h"
 #include "opt/normalize.h"
 #include "prob/detect.h"
 #include "util/rng.h"
@@ -227,6 +232,74 @@ TEST(sharded_pipeline, optimize_bit_identical_across_thread_counts) {
             EXPECT_EQ(runs[t].history[s].relevant_faults,
                       runs[0].history[s].relevant_faults);
         }
+    }
+}
+
+// --- cross-version golden ----------------------------------------------
+
+/// One golden line: both lengths at %.17g, the sweep count, the
+/// analysis-call count and a 64-bit FNV-1a digest of the weight bytes.
+std::string golden_line(const std::string& name, const optimize_result& r) {
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    const auto* bytes =
+        reinterpret_cast<const unsigned char*>(r.weights.data());
+    for (std::size_t b = 0; b < r.weights.size() * sizeof(double); ++b) {
+        digest ^= bytes[b];
+        digest *= 0x100000001b3ull;
+    }
+    char line[256];
+    std::snprintf(line, sizeof line, "%s %.17g %.17g %zu %zu %016llx\n",
+                  name.c_str(), r.initial_test_length, r.final_test_length,
+                  r.history.size(), r.analysis_calls,
+                  static_cast<unsigned long long>(digest));
+    return line;
+}
+
+// Every suite circuit plus the 224-slice sharded array, optimized from a
+// fixed seeded start in [0.48, 0.52] at threads 1 and 8, must reproduce
+// tests/golden/optimize_suite.golden byte for byte. Unlike the
+// thread-count tests above, this pins the results across versions: an
+// optimizer change that moves a single bit of any weight fails here. On a
+// mismatch the fresh lines are written to optimize_suite.actual in the
+// working directory; copy that over the golden only for a change that is
+// meant to move results.
+TEST(pipeline, optimize_suite_matches_golden) {
+    std::vector<std::pair<std::string, netlist>> circuits;
+    for (const suite_entry& e : benchmark_suite())
+        circuits.emplace_back(e.name, e.build());
+    circuits.emplace_back("sharded", make_sharded_comparators(224, 8));
+
+    std::string actual;
+    for (std::size_t k = 0; k < circuits.size(); ++k) {
+        const auto& [name, nl] = circuits[k];
+        const auto faults = generate_full_faults(nl);
+        rng r(0x601d + k);
+        weight_vector start(nl.input_count());
+        for (double& w : start) w = 0.48 + 0.04 * r.next_double();
+        std::string lines[2];
+        for (unsigned t : {0u, 1u}) {
+            const unsigned threads = t == 0 ? 1u : 8u;
+            cop_detect_estimator cop;
+            cop.set_threads(threads);
+            optimize_options opt;
+            opt.threads = threads;
+            lines[t] = golden_line(
+                name, optimize_weights(nl, faults, cop, start, opt));
+        }
+        EXPECT_EQ(lines[1], lines[0]) << name << ": threads 8 vs 1";
+        actual += lines[0];
+    }
+
+    std::ifstream in(WRPT_GOLDEN_DIR "/optimize_suite.golden",
+                     std::ios::binary);
+    const std::string golden{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+    if (actual != golden) {
+        std::ofstream("optimize_suite.actual", std::ios::binary) << actual;
+        FAIL() << "optimize results moved; fresh lines written to "
+                  "optimize_suite.actual\n--- golden\n"
+               << golden << "--- actual\n"
+               << actual;
     }
 }
 
