@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "helpers.h"
 #include "sim/logic_sim.h"
 #include "util/error.h"
@@ -17,16 +19,24 @@ using ::wrpt::testing::get_bus;
 using ::wrpt::testing::set_bit;
 using ::wrpt::testing::set_bus;
 
+// gtest names each case after the parameter's raw bytes, so the struct
+// has no padding: the explicit zero tail keeps every byte, and with it
+// every test name, independent of stack contents.
 struct alu_mode {
     unsigned s;
     bool m;
     bool cin;
+    std::uint16_t zero_tail = 0;
 };
+static_assert(sizeof(alu_mode) == 8, "alu_mode must have no padding");
 
 class alu_modes : public ::testing::TestWithParam<alu_mode> {};
 
 TEST_P(alu_modes, matches_reference_random_operands) {
-    const auto [s, m, cin] = GetParam();
+    const alu_mode mode = GetParam();
+    const unsigned s = mode.s;
+    const bool m = mode.m;
+    const bool cin = mode.cin;
     const std::size_t width = 8;
     const netlist nl = make_alu(width);
     rng rg(100 + s + (m ? 8 : 0) + (cin ? 16 : 0));
