@@ -12,6 +12,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -453,6 +457,129 @@ TEST(wire_fuzz, responses_survive_mutation_too) {
             FAIL() << "response trial " << trial
                    << ": non-wire exception: " << e.what();
         }
+    }
+}
+
+
+// --- golden canonical bytes -------------------------------------------------
+
+/// One hand-built value per wire kind, in the line order of
+/// tests/golden/wire_kinds.golden: every request kind, then every response
+/// kind, with both spellings of each field or section that is sent only
+/// when non-empty (a job's name, an error's code, list_circuits' tenant,
+/// the stats registry/server sections).
+const std::string golden_text = "tab\there \"q\" back\\slash \x01 \xc3\xa9";
+constexpr double subnormal = std::numeric_limits<double>::denorm_min();
+constexpr double shortest = 0.1 + 0.2;  // 0.30000000000000004
+
+std::vector<request> golden_requests() {
+    optimize_options opts;
+    opts.prepare_block = SIZE_MAX;
+    opts.threads = 4;
+    opts.grid = 0.0;
+    opts.saddle_escape = false;
+    return {
+        {1, load_circuit_request{"alu", "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n",
+                                 "", "S1"}},
+        {2, test_length_request{3, "", {0.5, subnormal, shortest}, 0.999, 1}},
+        {3, test_length_request{0, "acme/alu", {}, 0.0, 8}},
+        {4, optimize_request{7, "", {0.25, 1e300}, opts}},
+        {5, optimize_request{0, "acme/alu", {}, {}}},
+        {6, fault_sim_request{1, "", {0.5}, 1 << 20,
+                              std::numeric_limits<std::uint64_t>::max()}},
+        {7, fault_sim_request{0, golden_text, {}, 4096, 1}},
+        {8, matrix_request{job_kind::fault_sim, {0, 2},
+                           {{0.5, 0.25}, {}, {shortest}}, opts, 100, 9,
+                           0.9}},
+        {9, matrix_request{}},
+        {10, stats_request{}},
+        {11, evict_request{false, 3, 2}},
+        {12, evict_request{}},
+        {13, shutdown_request{}},
+        {14, register_circuit_request{"acme", "alu", "", "/tmp/x.bench", ""}},
+        {15, reload_circuit_request{"acme", "alu", golden_text, "", ""}},
+        {16, list_circuits_request{"acme"}},
+        {17, list_circuits_request{}},
+    };
+}
+
+std::vector<response> golden_responses() {
+    stats_response bare;
+    bare.requests = 5;
+    bare.cache_probes = 4;
+    bare.cache_hits = 3;
+    bare.cache_misses = 1;
+    bare.cache_entries = 2;
+    bare.cache_bytes = 1024;
+    bare.circuits = 1;
+    bare.simd_isa = "avx2";
+    bare.simd_lanes = 4;
+    bare.pools = {{0, 11, 2, 1, 0, 5, 2, 0, 0, 3}, {1, 12, 1, 1, 4, 0, 1, 1, 1, 0}};
+    stats_response full = bare;
+    full.cache_evictions = 6;
+    full.registry = {true, 2, 1, 8, 3, 4,
+                     {{"acme", 2, 512, 10, 4, 4096, 1}, {golden_text, 0, 0, 0, 0, 0, 0}}};
+    full.server = {true, 3, 4, 100, 16, 65536, 9, 1, 40, 2, 0, 1, 1, 0};
+    optimize_response opt{0, 21, false, 12.5, true, 1e9, 3.5e4, 3, 40, 0,
+                          {0.05, 0.95, shortest},
+                          {true, 3.5e4, 17, 0, subnormal}};
+    matrix_response mx;
+    mx.results = {response{0, true, test_length_response{1, 3, true, 0.0,
+                                                         {false, 0.0, 0, 2, 0.0}}},
+                  make_error(0, "circuit 9 not found", "not_found")};
+    return {
+        make_error(101, "wire: bad number"),
+        make_error(102, golden_text, "quota"),
+        {103, true, load_circuit_response{0, "S1", 32, 1, 90, 180,
+                                          std::numeric_limits<std::uint64_t>::max()}},
+        {104, true, test_length_response{2, 7, true, 0.0,
+                                         {true, 123456.75, 40, 1, 1e-12}}},
+        {105, true, opt},
+        {106, true, fault_sim_response{1, 8, false, 3.25, 4096, 180, 179,
+                                       0.99444444444444447}},
+        {107, true, mx},
+        {108, true, bare},
+        {109, true, full},
+        {110, true, evict_response{4, 2}},
+        {111, true, shutdown_response{}},
+        {112, true, register_circuit_response{"acme", "alu", 3, 30, 8, 2, 40}},
+        {113, true, reload_circuit_response{"acme", "alu", 3, 31, 30, 1}},
+        {114, true, list_circuits_response{{{"acme", "alu", 3, 31, true, 1},
+                                            {golden_text, "x", 4, 0, false, 0}}}},
+        {115, true, list_circuits_response{}},
+    };
+}
+
+// The canonical encoding of every kind is pinned byte for byte against
+// tests/golden/wire_kinds.golden, and every golden line survives
+// decode + encode unchanged. On a mismatch the fresh lines are written to
+// wire_kinds.actual in the working directory; the golden changes only
+// with a deliberate wire-format change.
+TEST(wire_golden, every_kind_matches_golden_bytes) {
+    const std::vector<request> qs = golden_requests();
+    const std::vector<response> rs = golden_responses();
+    std::string actual;
+    for (const request& q : qs) actual += encode(q) + "\n";
+    for (const response& r : rs) actual += encode(r) + "\n";
+
+    std::ifstream in(WRPT_GOLDEN_DIR "/wire_kinds.golden", std::ios::binary);
+    const std::string golden{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+    if (actual != golden) {
+        std::ofstream("wire_kinds.actual", std::ios::binary) << actual;
+        FAIL() << "canonical wire bytes moved; fresh lines written to "
+                  "wire_kinds.actual\n--- golden\n"
+               << golden << "--- actual\n"
+               << actual;
+    }
+
+    std::istringstream lines(golden);
+    std::string line;
+    for (std::size_t i = 0; std::getline(lines, line); ++i) {
+        const std::string again = i < qs.size()
+                                      ? encode(decode_request(line))
+                                      : encode(decode_response(line));
+        EXPECT_EQ(again, line) << "golden line " << i + 1;
     }
 }
 
