@@ -16,7 +16,9 @@
 // exec/batch_session can adopt the job-shaped requests as its native job
 // description without a dependency cycle; svc/service routes full
 // requests to a batch_session and svc/wire gives every kind a lossless
-// JSON-lines encoding.
+// JSON-lines encoding. The wire keys of every struct here (and of
+// optimize_options) are listed once, in svc/schema.h: a new member
+// reaches the wire by one line there.
 
 #pragma once
 

@@ -3,9 +3,14 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "svc/schema.h"
 
 namespace wrpt::svc {
 
@@ -24,7 +29,7 @@ struct jvalue {
     std::vector<jvalue> arr;
     std::vector<std::pair<std::string, jvalue>> obj;
 
-    const jvalue* find(const std::string& key) const {
+    const jvalue* find(std::string_view key) const {
         for (const auto& [k, v] : obj)
             if (k == key) return &v;
         return nullptr;
@@ -263,68 +268,9 @@ private:
     int depth_ = 0;
 };
 
-// --- typed field accessors (tolerant: missing/unknown fields keep defaults) -
-
 [[noreturn]] void bad(const std::string& why) { throw wire_error("wire: " + why); }
 
-const jvalue& member(const jvalue& o, const std::string& key) {
-    const jvalue* v = o.find(key);
-    if (!v) bad("missing field \"" + key + "\"");
-    return *v;
-}
-
-std::uint64_t get_u64(const jvalue& o, const std::string& key,
-                      std::uint64_t fallback) {
-    const jvalue* v = o.find(key);
-    if (!v) return fallback;
-    if (v->kind != jvalue::num_v || !v->has_unum)
-        bad("field \"" + key + "\" must be an unsigned integer");
-    return v->unum;
-}
-
-std::size_t get_size(const jvalue& o, const std::string& key,
-                     std::size_t fallback) {
-    return static_cast<std::size_t>(get_u64(o, key, fallback));
-}
-
-double get_double(const jvalue& o, const std::string& key, double fallback) {
-    const jvalue* v = o.find(key);
-    if (!v) return fallback;
-    if (v->kind != jvalue::num_v) bad("field \"" + key + "\" must be a number");
-    return v->num;
-}
-
-bool get_bool(const jvalue& o, const std::string& key, bool fallback) {
-    const jvalue* v = o.find(key);
-    if (!v) return fallback;
-    if (v->kind != jvalue::bool_v)
-        bad("field \"" + key + "\" must be a boolean");
-    return v->b;
-}
-
-std::string get_string(const jvalue& o, const std::string& key,
-                       const std::string& fallback) {
-    const jvalue* v = o.find(key);
-    if (!v) return fallback;
-    if (v->kind != jvalue::str_v) bad("field \"" + key + "\" must be a string");
-    return v->str;
-}
-
-weight_vector get_weights(const jvalue& o, const std::string& key) {
-    const jvalue* v = o.find(key);
-    if (!v) return {};
-    if (v->kind != jvalue::arr_v) bad("field \"" + key + "\" must be an array");
-    weight_vector w;
-    w.reserve(v->arr.size());
-    for (const jvalue& e : v->arr) {
-        if (e.kind != jvalue::num_v)
-            bad("field \"" + key + "\" must hold numbers");
-        w.push_back(e.num);
-    }
-    return w;
-}
-
-// --- canonical encoder helpers ----------------------------------------------
+// --- canonical encoder ------------------------------------------------------
 
 void put_escaped(std::string& out, std::string_view s) {
     out.push_back('"');
@@ -371,809 +317,241 @@ void put_double(std::string& out, double v) {
     out.append(buf, p);
 }
 
-void put_bool(std::string& out, bool v) { out += v ? "true" : "false"; }
+/// Writes a payload's fields in description order (schema.h), inserting
+/// the comma separators. Appends to `out` without clearing it, so callers
+/// reuse one buffer across encodes and nested objects need no temporaries.
+class encoder {
+public:
+    explicit encoder(std::string& out) : out_(out) {}
 
-void put_weights(std::string& out, const weight_vector& w) {
-    out.push_back('[');
-    for (std::size_t i = 0; i < w.size(); ++i) {
-        if (i) out.push_back(',');
-        put_double(out, w[i]);
+    template <class T>
+    void operator()(std::string_view key, const T& m) {
+        put_key(key);
+        value(m);
     }
-    out.push_back(']');
-}
 
-// Tiny object-writer: field(...) inserts the comma separators so every
-// encoder below reads as a flat field list in canonical order.
-struct owriter {
-    std::string& out;
-    bool first = true;
+    template <class T>
+    void operator()(std::string_view key, const T& m, omit_empty_t) {
+        if (!empty_field(m)) (*this)(key, m);
+    }
 
-    void key(std::string_view k) {
-        if (!first) out.push_back(',');
-        first = false;
-        put_escaped(out, k);
-        out.push_back(':');
+    void operator()(std::string_view key, const bool& m, true_unless_sent) {
+        (*this)(key, m);
     }
-    void field(std::string_view k, std::string_view v) {
-        key(k);
-        put_escaped(out, v);
+
+    template <class K, std::size_t N>
+    void operator()(std::string_view key, const K& m,
+                    const kind_names<N>& kinds) {
+        const std::size_t i = kind_index(m);
+        if (i >= N) bad("bad " + std::string(kinds.noun) + " kind");
+        put_key(key);
+        put_escaped(out_, kinds.names[i]);
     }
-    void field_u64(std::string_view k, std::uint64_t v) {
-        key(k);
-        put_u64(out, v);
+
+    template <class F>
+    void group(std::string_view key, F&& list) {
+        put_key(key);
+        object(list);
     }
-    void field_double(std::string_view k, double v) {
-        key(k);
-        put_double(out, v);
+
+    template <class T>
+    void value(const T& m) {
+        if constexpr (std::is_same_v<T, std::string>) {
+            put_escaped(out_, m);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            out_ += m ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, double>) {
+            put_double(out_, m);
+        } else if constexpr (std::is_unsigned_v<T>) {
+            put_u64(out_, m);
+        } else if constexpr (wire_list<T>) {
+            out_.push_back('[');
+            for (const auto& e : m) {
+                if (&e != m.data()) out_.push_back(',');
+                value(e);
+            }
+            out_.push_back(']');
+        } else {
+            object([&](encoder& inner) { fields(m, inner); });
+        }
     }
-    void field_bool(std::string_view k, bool v) {
-        key(k);
-        put_bool(out, v);
+
+private:
+    template <class F>
+    void object(F&& list) {
+        out_.push_back('{');
+        encoder inner(out_);
+        list(inner);
+        out_.push_back('}');
     }
-    void field_weights(std::string_view k, const weight_vector& w) {
-        key(k);
-        put_weights(out, w);
+
+    // Every key follows either its object's '{' or a complete value, and
+    // no value ends in '{'. Keys are the schema's identifiers, which JSON
+    // needs no escapes for.
+    void put_key(std::string_view key) {
+        if (out_.back() != '{') out_.push_back(',');
+        out_.push_back('"');
+        out_.append(key);
+        out_.append("\":", 2);
     }
+
+    std::string& out_;
 };
 
-// --- optimize_options <-> JSON ----------------------------------------------
+// --- decoder ----------------------------------------------------------------
 
-void put_options(std::string& out, const optimize_options& o) {
-    out.push_back('{');
-    owriter w{out};
-    w.field_double("confidence", o.confidence);
-    w.field_double("alpha", o.alpha);
-    w.field_u64("max_sweeps", o.max_sweeps);
-    w.field_double("weight_min", o.weight_min);
-    w.field_double("weight_max", o.weight_max);
-    w.field_double("grid", o.grid);
-    w.field_u64("max_relevant_faults", o.max_relevant_faults);
-    w.field_double("relevance_window", o.relevance_window);
-    w.field_bool("saddle_escape", o.saddle_escape);
-    w.field_double("saddle_perturbation", o.saddle_perturbation);
-    w.field_double("trust_step", o.trust_step);
-    w.field_u64("prepare_block", o.prepare_block);
-    w.field_u64("threads", o.threads);
-    out.push_back('}');
-}
+/// Reads one parsed JSON object into a payload by walking its description
+/// (schema.h). Tolerant of unknown and missing keys (a missing key keeps
+/// the member's default), strict about the values that are there.
+class decoder {
+public:
+    explicit decoder(const jvalue& obj) : obj_(obj) {}
 
-optimize_options get_options(const jvalue& parent, const std::string& key) {
-    optimize_options o;
-    const jvalue* v = parent.find(key);
-    if (!v) return o;
-    if (v->kind != jvalue::obj_v)
-        bad("field \"" + key + "\" must be an object");
-    o.confidence = get_double(*v, "confidence", o.confidence);
-    o.alpha = get_double(*v, "alpha", o.alpha);
-    o.max_sweeps = get_size(*v, "max_sweeps", o.max_sweeps);
-    o.weight_min = get_double(*v, "weight_min", o.weight_min);
-    o.weight_max = get_double(*v, "weight_max", o.weight_max);
-    o.grid = get_double(*v, "grid", o.grid);
-    o.max_relevant_faults =
-        get_size(*v, "max_relevant_faults", o.max_relevant_faults);
-    o.relevance_window = get_double(*v, "relevance_window", o.relevance_window);
-    o.saddle_escape = get_bool(*v, "saddle_escape", o.saddle_escape);
-    o.saddle_perturbation =
-        get_double(*v, "saddle_perturbation", o.saddle_perturbation);
-    o.trust_step = get_double(*v, "trust_step", o.trust_step);
-    o.prepare_block = get_size(*v, "prepare_block", o.prepare_block);
-    o.threads = static_cast<unsigned>(get_u64(*v, "threads", o.threads));
-    return o;
-}
-
-// --- kind names -------------------------------------------------------------
-
-const char* job_kind_name(job_kind k) {
-    switch (k) {
-        case job_kind::test_length: return "test_length";
-        case job_kind::optimize: return "optimize";
-        case job_kind::fault_sim: return "fault_sim";
+    template <class T>
+    void operator()(std::string_view key, T& m) {
+        if (const jvalue* j = obj_.find(key)) read(*j, m, key, false);
     }
-    bad("bad job kind");
-}
 
-job_kind job_kind_from(const std::string& name) {
-    if (name == "test_length") return job_kind::test_length;
-    if (name == "optimize") return job_kind::optimize;
-    if (name == "fault_sim") return job_kind::fault_sim;
-    bad("unknown job kind \"" + name + "\"");
-}
+    template <class T>
+    void operator()(std::string_view key, T& m, omit_empty_t) {
+        const jvalue* j = obj_.find(key);
+        if (!j) return;
+        if constexpr (requires { m.present; }) m.present = true;
+        read(*j, m, key, false);
+    }
 
-// --- length payload ---------------------------------------------------------
+    void operator()(std::string_view key, bool& m, true_unless_sent t) {
+        m = obj_.find(t.key) == nullptr;
+        (*this)(key, m);
+    }
 
-void put_length(std::string& out, const length_payload& l) {
-    out.push_back('{');
-    owriter w{out};
-    w.field_bool("feasible", l.feasible);
-    w.field_double("test_length", l.test_length);
-    w.field_u64("relevant_faults", l.relevant_faults);
-    w.field_u64("zero_prob_faults", l.zero_prob_faults);
-    w.field_double("hardest_probability", l.hardest_probability);
-    out.push_back('}');
-}
+    template <class K, std::size_t N>
+    void operator()(std::string_view key, K& m, const kind_names<N>& kinds) {
+        const jvalue* j = obj_.find(key);
+        if (!j) {
+            // A message without its kind cannot be read; an enum kind
+            // keeps its default.
+            if constexpr (!std::is_enum_v<K>)
+                bad("missing field \"" + std::string(key) + "\"");
+            return;
+        }
+        expect(j->kind == jvalue::str_v, key, false, "a string", "");
+        for (std::size_t i = 0; i < N; ++i)
+            if (kinds.names[i] == j->str) return set_kind(m, i);
+        bad("unknown " + std::string(kinds.noun) + " kind \"" + j->str +
+            "\"");
+    }
 
-length_payload get_length(const jvalue& parent, const std::string& key) {
-    length_payload l;
-    const jvalue* v = parent.find(key);
-    if (!v) return l;
-    if (v->kind != jvalue::obj_v)
-        bad("field \"" + key + "\" must be an object");
-    l.feasible = get_bool(*v, "feasible", l.feasible);
-    l.test_length = get_double(*v, "test_length", l.test_length);
-    l.relevant_faults = get_size(*v, "relevant_faults", l.relevant_faults);
-    l.zero_prob_faults = get_size(*v, "zero_prob_faults", l.zero_prob_faults);
-    l.hardest_probability =
-        get_double(*v, "hardest_probability", l.hardest_probability);
-    return l;
-}
+    template <class F>
+    void group(std::string_view key, F&& list) {
+        if (const jvalue* j = obj_.find(key)) {
+            expect(j->kind == jvalue::obj_v, key, false, "an object", "");
+            decoder inner(*j);
+            list(inner);
+        }
+    }
 
-response decode_response_value(const jvalue& o);
+    /// `element`: j is an entry of the list under `key`.
+    template <class T>
+    static void read(const jvalue& j, T& m, std::string_view key,
+                     bool element) {
+        if constexpr (std::is_same_v<T, std::string>) {
+            expect(j.kind == jvalue::str_v, key, element, "a string",
+                   "strings");
+            m = j.str;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            expect(j.kind == jvalue::bool_v, key, element, "a boolean",
+                   "booleans");
+            m = j.b;
+        } else if constexpr (std::is_same_v<T, double>) {
+            expect(j.kind == jvalue::num_v, key, element, "a number",
+                   "numbers");
+            m = j.num;
+        } else if constexpr (std::is_unsigned_v<T>) {
+            expect(j.kind == jvalue::num_v && j.has_unum, key, element,
+                   "an unsigned integer", "unsigned integers");
+            // Narrowing members (unsigned thread counts) refuse what
+            // they cannot hold instead of wrapping.
+            if (j.unum > std::numeric_limits<T>::max())
+                bad("field \"" + std::string(key) + "\" is out of range");
+            m = static_cast<T>(j.unum);
+        } else if constexpr (wire_list<T>) {
+            expect(j.kind == jvalue::arr_v, key, element, "an array",
+                   "arrays");
+            m.reserve(j.arr.size());
+            for (const jvalue& e : j.arr) read(e, m.emplace_back(), key, true);
+        } else {
+            expect(j.kind == jvalue::obj_v, key, element, "an object",
+                   "objects");
+            decoder inner(j);
+            fields(m, inner);
+        }
+    }
 
-}  // namespace
+private:
+    static void expect(bool ok, std::string_view key, bool element,
+                       const char* one, const char* many) {
+        if (!ok)
+            bad("field \"" + std::string(key) +
+                (element ? "\" must hold " : "\" must be ") +
+                (element ? many : one));
+    }
 
-// --- request encoding -------------------------------------------------------
+    const jvalue& obj_;
+};
 
-namespace {
-
-/// Append-only core of the request encoder: writes q's canonical JSON at
-/// the end of `out` without clearing it, so callers can reuse one buffer
-/// across encodes (and the matrix encoder can nest without temporaries).
-void append_request(const request& q, std::string& out) {
-    out.push_back('{');
-    owriter w{out};
-    std::visit(
-        [&](const auto& p) {
-            using T = std::decay_t<decltype(p)>;
-            if constexpr (std::is_same_v<T, load_circuit_request>) {
-                w.field("req", "load_circuit");
-                w.field_u64("id", q.id);
-                w.field("name", p.name);
-                w.field("bench", p.bench);
-                w.field("path", p.path);
-                w.field("suite", p.suite);
-            } else if constexpr (std::is_same_v<T, test_length_request>) {
-                w.field("req", "test_length");
-                w.field_u64("id", q.id);
-                w.field_u64("circuit", p.circuit);
-                // Registry addressing is opt-in: the "name" key appears
-                // only when used, so handle-addressed encodings are
-                // byte-identical to the pre-registry wire format.
-                if (!p.name.empty()) w.field("name", p.name);
-                w.field_weights("weights", p.weights);
-                w.field_double("confidence", p.confidence);
-                w.field_u64("threads", p.threads);
-            } else if constexpr (std::is_same_v<T, optimize_request>) {
-                w.field("req", "optimize");
-                w.field_u64("id", q.id);
-                w.field_u64("circuit", p.circuit);
-                if (!p.name.empty()) w.field("name", p.name);
-                w.field_weights("weights", p.weights);
-                w.key("options");
-                put_options(out, p.options);
-            } else if constexpr (std::is_same_v<T, fault_sim_request>) {
-                w.field("req", "fault_sim");
-                w.field_u64("id", q.id);
-                w.field_u64("circuit", p.circuit);
-                if (!p.name.empty()) w.field("name", p.name);
-                w.field_weights("weights", p.weights);
-                w.field_u64("patterns", p.patterns);
-                w.field_u64("seed", p.seed);
-            } else if constexpr (std::is_same_v<T, matrix_request>) {
-                w.field("req", "matrix");
-                w.field_u64("id", q.id);
-                w.field("kind", job_kind_name(p.kind));
-                w.key("circuits");
-                out.push_back('[');
-                for (std::size_t i = 0; i < p.circuits.size(); ++i) {
-                    if (i) out.push_back(',');
-                    put_u64(out, p.circuits[i]);
-                }
-                out.push_back(']');
-                w.key("weight_sets");
-                out.push_back('[');
-                for (std::size_t i = 0; i < p.weight_sets.size(); ++i) {
-                    if (i) out.push_back(',');
-                    put_weights(out, p.weight_sets[i]);
-                }
-                out.push_back(']');
-                w.key("options");
-                put_options(out, p.options);
-                w.field_u64("patterns", p.patterns);
-                w.field_u64("seed", p.seed);
-                w.field_double("confidence", p.confidence);
-            } else if constexpr (std::is_same_v<T, stats_request>) {
-                w.field("req", "stats");
-                w.field_u64("id", q.id);
-            } else if constexpr (std::is_same_v<T, evict_request>) {
-                w.field("req", "evict");
-                w.field_u64("id", q.id);
-                w.field_bool("all", p.all);
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("keep_engines", p.keep_engines);
-            } else if constexpr (std::is_same_v<T, shutdown_request>) {
-                w.field("req", "shutdown");
-                w.field_u64("id", q.id);
-            } else if constexpr (std::is_same_v<T, register_circuit_request>) {
-                w.field("req", "register_circuit");
-                w.field_u64("id", q.id);
-                w.field("tenant", p.tenant);
-                w.field("name", p.name);
-                w.field("bench", p.bench);
-                w.field("path", p.path);
-                w.field("suite", p.suite);
-            } else if constexpr (std::is_same_v<T, reload_circuit_request>) {
-                w.field("req", "reload_circuit");
-                w.field_u64("id", q.id);
-                w.field("tenant", p.tenant);
-                w.field("name", p.name);
-                w.field("bench", p.bench);
-                w.field("path", p.path);
-                w.field("suite", p.suite);
-            } else if constexpr (std::is_same_v<T, list_circuits_request>) {
-                w.field("req", "list_circuits");
-                w.field_u64("id", q.id);
-                if (!p.tenant.empty()) w.field("tenant", p.tenant);
-            }
-        },
-        q.payload);
-    out.push_back('}');
+template <class T>
+T decode_object(std::string_view line, const char* what) {
+    const jvalue o = parser(line).parse();
+    if (o.kind != jvalue::obj_v)
+        bad(std::string(what) + " must be a JSON object");
+    T m;
+    decoder d(o);
+    fields(m, d);
+    return m;
 }
 
 }  // namespace
 
 std::string encode(const request& q) {
     std::string out;
-    append_request(q, out);
+    encoder(out).value(q);
+    return out;
+}
+
+std::string encode(const response& r) {
+    std::string out;
+    encoder(out).value(r);
     return out;
 }
 
 void encode_into(const request& q, std::string& out) {
     out.clear();  // keeps capacity: steady-state encodes never allocate
-    append_request(q, out);
-}
-
-// --- request decoding -------------------------------------------------------
-
-request decode_request(std::string_view line) {
-    const jvalue o = parser(line).parse();
-    if (o.kind != jvalue::obj_v) bad("request must be a JSON object");
-    const std::string kind = member(o, "req").str;
-    request q;
-    q.id = get_u64(o, "id", 0);
-    if (kind == "load_circuit") {
-        load_circuit_request p;
-        p.name = get_string(o, "name", "");
-        p.bench = get_string(o, "bench", "");
-        p.path = get_string(o, "path", "");
-        p.suite = get_string(o, "suite", "");
-        q.payload = std::move(p);
-    } else if (kind == "test_length") {
-        test_length_request p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.name = get_string(o, "name", "");
-        p.weights = get_weights(o, "weights");
-        p.confidence = get_double(o, "confidence", 0.0);
-        p.threads = static_cast<unsigned>(get_u64(o, "threads", 1));
-        q.payload = std::move(p);
-    } else if (kind == "optimize") {
-        optimize_request p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.name = get_string(o, "name", "");
-        p.weights = get_weights(o, "weights");
-        p.options = get_options(o, "options");
-        q.payload = std::move(p);
-    } else if (kind == "fault_sim") {
-        fault_sim_request p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.name = get_string(o, "name", "");
-        p.weights = get_weights(o, "weights");
-        p.patterns = get_u64(o, "patterns", p.patterns);
-        p.seed = get_u64(o, "seed", p.seed);
-        q.payload = std::move(p);
-    } else if (kind == "matrix") {
-        matrix_request p;
-        p.kind = job_kind_from(get_string(o, "kind", "test_length"));
-        if (const jvalue* v = o.find("circuits")) {
-            if (v->kind != jvalue::arr_v) bad("\"circuits\" must be an array");
-            for (const jvalue& e : v->arr) {
-                if (e.kind != jvalue::num_v || !e.has_unum)
-                    bad("\"circuits\" must hold unsigned integers");
-                p.circuits.push_back(static_cast<std::size_t>(e.unum));
-            }
-        }
-        if (const jvalue* v = o.find("weight_sets")) {
-            if (v->kind != jvalue::arr_v)
-                bad("\"weight_sets\" must be an array");
-            for (const jvalue& e : v->arr) {
-                if (e.kind != jvalue::arr_v)
-                    bad("\"weight_sets\" must hold arrays");
-                weight_vector ws;
-                ws.reserve(e.arr.size());
-                for (const jvalue& n : e.arr) {
-                    if (n.kind != jvalue::num_v)
-                        bad("\"weight_sets\" must hold numbers");
-                    ws.push_back(n.num);
-                }
-                p.weight_sets.push_back(std::move(ws));
-            }
-        }
-        p.options = get_options(o, "options");
-        p.patterns = get_u64(o, "patterns", p.patterns);
-        p.seed = get_u64(o, "seed", p.seed);
-        p.confidence = get_double(o, "confidence", p.confidence);
-        q.payload = std::move(p);
-    } else if (kind == "stats") {
-        q.payload = stats_request{};
-    } else if (kind == "evict") {
-        evict_request p;
-        // Naming a circuit implies a per-circuit evict; "all" must be
-        // explicit to wipe the whole daemon when a circuit is given.
-        p.all = get_bool(o, "all", o.find("circuit") == nullptr);
-        p.circuit = get_size(o, "circuit", 0);
-        p.keep_engines = get_size(o, "keep_engines", 0);
-        q.payload = std::move(p);
-    } else if (kind == "shutdown") {
-        q.payload = shutdown_request{};
-    } else if (kind == "register_circuit") {
-        register_circuit_request p;
-        p.tenant = get_string(o, "tenant", "");
-        p.name = get_string(o, "name", "");
-        p.bench = get_string(o, "bench", "");
-        p.path = get_string(o, "path", "");
-        p.suite = get_string(o, "suite", "");
-        q.payload = std::move(p);
-    } else if (kind == "reload_circuit") {
-        reload_circuit_request p;
-        p.tenant = get_string(o, "tenant", "");
-        p.name = get_string(o, "name", "");
-        p.bench = get_string(o, "bench", "");
-        p.path = get_string(o, "path", "");
-        p.suite = get_string(o, "suite", "");
-        q.payload = std::move(p);
-    } else if (kind == "list_circuits") {
-        list_circuits_request p;
-        p.tenant = get_string(o, "tenant", "");
-        q.payload = std::move(p);
-    } else {
-        bad("unknown request kind \"" + kind + "\"");
-    }
-    return q;
-}
-
-// --- response encoding ------------------------------------------------------
-
-namespace {
-
-/// Append-only core of the response encoder (see append_request).
-void append_response(const response& r, std::string& out) {
-    out.push_back('{');
-    owriter w{out};
-    w.field_u64("id", r.id);
-    w.field_bool("ok", r.ok);
-    std::visit(
-        [&](const auto& p) {
-            using T = std::decay_t<decltype(p)>;
-            if constexpr (std::is_same_v<T, error_response>) {
-                w.field("resp", "error");
-                w.field("error", p.message);
-                // Typed refusals ("quota", "not_found", ...) carry a code;
-                // generic envelopes stay byte-identical to the old format.
-                if (!p.code.empty()) w.field("code", p.code);
-            } else if constexpr (std::is_same_v<T, load_circuit_response>) {
-                w.field("resp", "load_circuit");
-                w.field_u64("circuit", p.circuit);
-                w.field("name", p.name);
-                w.field_u64("inputs", p.inputs);
-                w.field_u64("outputs", p.outputs);
-                w.field_u64("gates", p.gates);
-                w.field_u64("faults", p.faults);
-                w.field_u64("revision", p.revision);
-            } else if constexpr (std::is_same_v<T, test_length_response>) {
-                w.field("resp", "test_length");
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("revision", p.revision);
-                w.field_bool("cached", p.cached);
-                w.field_double("elapsed_ms", p.elapsed_ms);
-                w.key("length");
-                put_length(out, p.length);
-            } else if constexpr (std::is_same_v<T, optimize_response>) {
-                w.field("resp", "optimize");
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("revision", p.revision);
-                w.field_bool("cached", p.cached);
-                w.field_double("elapsed_ms", p.elapsed_ms);
-                w.field_bool("feasible", p.feasible);
-                w.field_double("initial_length", p.initial_length);
-                w.field_double("final_length", p.final_length);
-                w.field_u64("sweeps", p.sweeps);
-                w.field_u64("analysis_calls", p.analysis_calls);
-                w.field_u64("zero_prob_faults", p.zero_prob_faults);
-                w.field_weights("weights", p.weights);
-                w.key("length");
-                put_length(out, p.length);
-            } else if constexpr (std::is_same_v<T, fault_sim_response>) {
-                w.field("resp", "fault_sim");
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("revision", p.revision);
-                w.field_bool("cached", p.cached);
-                w.field_double("elapsed_ms", p.elapsed_ms);
-                w.field_u64("patterns", p.patterns);
-                w.field_u64("faults", p.faults);
-                w.field_u64("detected", p.detected);
-                w.field_double("coverage", p.coverage);
-            } else if constexpr (std::is_same_v<T, matrix_response>) {
-                w.field("resp", "matrix");
-                w.key("results");
-                out.push_back('[');
-                for (std::size_t i = 0; i < p.results.size(); ++i) {
-                    if (i) out.push_back(',');
-                    // Append in place: no per-result temporary string.
-                    append_response(p.results[i], out);
-                }
-                out.push_back(']');
-            } else if constexpr (std::is_same_v<T, stats_response>) {
-                w.field("resp", "stats");
-                w.field_u64("requests", p.requests);
-                w.key("cache");
-                {
-                    out.push_back('{');
-                    owriter c{out};
-                    c.field_u64("probes", p.cache_probes);
-                    c.field_u64("hits", p.cache_hits);
-                    c.field_u64("misses", p.cache_misses);
-                    c.field_u64("entries", p.cache_entries);
-                    c.field_u64("evictions", p.cache_evictions);
-                    c.field_u64("bytes", p.cache_bytes);
-                    out.push_back('}');
-                }
-                w.field_u64("circuits", p.circuits);
-                w.field("simd_isa", p.simd_isa);
-                w.field_u64("simd_lanes", p.simd_lanes);
-                w.key("pools");
-                out.push_back('[');
-                for (std::size_t i = 0; i < p.pools.size(); ++i) {
-                    if (i) out.push_back(',');
-                    const pool_stats_payload& ps = p.pools[i];
-                    out.push_back('{');
-                    owriter c{out};
-                    c.field_u64("circuit", ps.circuit);
-                    c.field_u64("revision", ps.revision);
-                    c.field_u64("engines", ps.engines);
-                    c.field_u64("warm", ps.warm);
-                    c.field_u64("capacity", ps.capacity);
-                    c.field_u64("hits", ps.hits);
-                    c.field_u64("misses", ps.misses);
-                    c.field_u64("resyncs", ps.resyncs);
-                    c.field_u64("evictions", ps.evictions);
-                    c.field_u64("relocations", ps.relocations);
-                    out.push_back('}');
-                }
-                out.push_back(']');
-                // Registry catalog section: encoded only once a circuit
-                // has been registered, so registry-free transcripts are
-                // byte-identical to the pre-registry wire format.
-                if (p.registry.present) {
-                    const registry_stats_payload& rg = p.registry;
-                    w.key("registry");
-                    out.push_back('{');
-                    owriter c{out};
-                    c.field_u64("circuits", rg.circuits);
-                    c.field_u64("resident", rg.resident);
-                    c.field_u64("max_views", rg.max_views);
-                    c.field_u64("view_evictions", rg.view_evictions);
-                    c.field_u64("view_rebuilds", rg.view_rebuilds);
-                    c.key("tenants");
-                    out.push_back('[');
-                    for (std::size_t i = 0; i < rg.tenants.size(); ++i) {
-                        if (i) out.push_back(',');
-                        const tenant_stats_payload& ts = rg.tenants[i];
-                        out.push_back('{');
-                        owriter t{out};
-                        t.field("tenant", ts.tenant);
-                        t.field_u64("circuits", ts.circuits);
-                        t.field_u64("cache_bytes", ts.cache_bytes);
-                        t.field_u64("max_circuits", ts.max_circuits);
-                        t.field_u64("max_engines", ts.max_engines);
-                        t.field_u64("max_cache_bytes", ts.max_cache_bytes);
-                        t.field_u64("rejections", ts.rejections);
-                        out.push_back('}');
-                    }
-                    out.push_back(']');
-                    out.push_back('}');
-                }
-                // Socket-server admission section: encoded last, and
-                // only when a svc::server stamped it, so stdin-daemon
-                // and in-process transcripts are byte-identical to the
-                // pre-reactor wire format.
-                if (p.server.present) {
-                    const server_stats_payload& sv = p.server;
-                    w.key("server");
-                    out.push_back('{');
-                    owriter c{out};
-                    c.field_u64("active", sv.active);
-                    c.field_u64("workers", sv.workers);
-                    c.field_u64("max_connections", sv.max_connections);
-                    c.field_u64("queue_depth", sv.queue_depth);
-                    c.field_u64("queue_bytes", sv.queue_bytes);
-                    c.field_u64("accepted", sv.accepted);
-                    c.field_u64("refused", sv.refused);
-                    c.field_u64("requests", sv.requests);
-                    c.field_u64("protocol_errors", sv.protocol_errors);
-                    c.field_u64("overflows", sv.overflows);
-                    c.field_u64("timeouts", sv.timeouts);
-                    c.field_u64("queue_drops", sv.queue_drops);
-                    c.field_u64("accept_backoffs", sv.accept_backoffs);
-                    out.push_back('}');
-                }
-            } else if constexpr (std::is_same_v<T, evict_response>) {
-                w.field("resp", "evict");
-                w.field_u64("cache_entries", p.cache_entries);
-                w.field_u64("engines", p.engines);
-            } else if constexpr (std::is_same_v<T, shutdown_response>) {
-                w.field("resp", "shutdown");
-            } else if constexpr (std::is_same_v<T, register_circuit_response>) {
-                w.field("resp", "register_circuit");
-                w.field("tenant", p.tenant);
-                w.field("name", p.name);
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("revision", p.revision);
-                w.field_u64("inputs", p.inputs);
-                w.field_u64("outputs", p.outputs);
-                w.field_u64("gates", p.gates);
-            } else if constexpr (std::is_same_v<T, reload_circuit_response>) {
-                w.field("resp", "reload_circuit");
-                w.field("tenant", p.tenant);
-                w.field("name", p.name);
-                w.field_u64("circuit", p.circuit);
-                w.field_u64("revision", p.revision);
-                w.field_u64("old_revision", p.old_revision);
-                w.field_u64("reloads", p.reloads);
-            } else if constexpr (std::is_same_v<T, list_circuits_response>) {
-                w.field("resp", "list_circuits");
-                w.key("entries");
-                out.push_back('[');
-                for (std::size_t i = 0; i < p.entries.size(); ++i) {
-                    if (i) out.push_back(',');
-                    const catalog_entry_payload& e = p.entries[i];
-                    out.push_back('{');
-                    owriter c{out};
-                    c.field("tenant", e.tenant);
-                    c.field("name", e.name);
-                    c.field_u64("circuit", e.circuit);
-                    c.field_u64("revision", e.revision);
-                    c.field_bool("resident", e.resident);
-                    c.field_u64("reloads", e.reloads);
-                    out.push_back('}');
-                }
-                out.push_back(']');
-            }
-        },
-        r.payload);
-    out.push_back('}');
-}
-
-}  // namespace
-
-std::string encode(const response& r) {
-    std::string out;
-    append_response(r, out);
-    return out;
+    encoder(out).value(q);
 }
 
 void encode_into(const response& r, std::string& out) {
-    out.clear();  // keeps capacity: steady-state encodes never allocate
-    append_response(r, out);
+    out.clear();
+    encoder(out).value(r);
 }
 
-// --- response decoding ------------------------------------------------------
-
-namespace {
-
-response decode_response_value(const jvalue& o) {
-    if (o.kind != jvalue::obj_v) bad("response must be a JSON object");
-    const std::string kind = member(o, "resp").str;
-    response r;
-    r.id = get_u64(o, "id", 0);
-    r.ok = get_bool(o, "ok", true);
-    if (kind == "error") {
-        error_response p;
-        p.message = get_string(o, "error", "");
-        p.code = get_string(o, "code", "");
-        r.payload = std::move(p);
-    } else if (kind == "load_circuit") {
-        load_circuit_response p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.name = get_string(o, "name", "");
-        p.inputs = get_size(o, "inputs", 0);
-        p.outputs = get_size(o, "outputs", 0);
-        p.gates = get_size(o, "gates", 0);
-        p.faults = get_size(o, "faults", 0);
-        p.revision = get_u64(o, "revision", 0);
-        r.payload = std::move(p);
-    } else if (kind == "test_length") {
-        test_length_response p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.revision = get_u64(o, "revision", 0);
-        p.cached = get_bool(o, "cached", false);
-        p.elapsed_ms = get_double(o, "elapsed_ms", 0.0);
-        p.length = get_length(o, "length");
-        r.payload = std::move(p);
-    } else if (kind == "optimize") {
-        optimize_response p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.revision = get_u64(o, "revision", 0);
-        p.cached = get_bool(o, "cached", false);
-        p.elapsed_ms = get_double(o, "elapsed_ms", 0.0);
-        p.feasible = get_bool(o, "feasible", false);
-        p.initial_length = get_double(o, "initial_length", 0.0);
-        p.final_length = get_double(o, "final_length", 0.0);
-        p.sweeps = get_size(o, "sweeps", 0);
-        p.analysis_calls = get_size(o, "analysis_calls", 0);
-        p.zero_prob_faults = get_size(o, "zero_prob_faults", 0);
-        p.weights = get_weights(o, "weights");
-        p.length = get_length(o, "length");
-        r.payload = std::move(p);
-    } else if (kind == "fault_sim") {
-        fault_sim_response p;
-        p.circuit = get_size(o, "circuit", 0);
-        p.revision = get_u64(o, "revision", 0);
-        p.cached = get_bool(o, "cached", false);
-        p.elapsed_ms = get_double(o, "elapsed_ms", 0.0);
-        p.patterns = get_u64(o, "patterns", 0);
-        p.faults = get_size(o, "faults", 0);
-        p.detected = get_size(o, "detected", 0);
-        p.coverage = get_double(o, "coverage", 0.0);
-        r.payload = std::move(p);
-    } else if (kind == "matrix") {
-        matrix_response p;
-        if (const jvalue* v = o.find("results")) {
-            if (v->kind != jvalue::arr_v) bad("\"results\" must be an array");
-            for (const jvalue& e : v->arr)
-                p.results.push_back(decode_response_value(e));
-        }
-        r.payload = std::move(p);
-    } else if (kind == "stats") {
-        stats_response p;
-        p.requests = get_u64(o, "requests", 0);
-        if (const jvalue* v = o.find("cache")) {
-            if (v->kind != jvalue::obj_v) bad("\"cache\" must be an object");
-            p.cache_probes = get_u64(*v, "probes", 0);
-            p.cache_hits = get_u64(*v, "hits", 0);
-            p.cache_misses = get_u64(*v, "misses", 0);
-            p.cache_entries = get_size(*v, "entries", 0);
-            p.cache_evictions = get_u64(*v, "evictions", 0);
-            p.cache_bytes = get_u64(*v, "bytes", 0);
-        }
-        p.circuits = get_size(o, "circuits", 0);
-        if (const jvalue* v = o.find("simd_isa")) p.simd_isa = v->str;
-        p.simd_lanes = get_size(o, "simd_lanes", 0);
-        if (const jvalue* v = o.find("pools")) {
-            if (v->kind != jvalue::arr_v) bad("\"pools\" must be an array");
-            for (const jvalue& e : v->arr) {
-                if (e.kind != jvalue::obj_v)
-                    bad("\"pools\" must hold objects");
-                pool_stats_payload ps;
-                ps.circuit = get_size(e, "circuit", 0);
-                ps.revision = get_u64(e, "revision", 0);
-                ps.engines = get_size(e, "engines", 0);
-                ps.warm = get_size(e, "warm", 0);
-                ps.capacity = get_size(e, "capacity", 0);
-                ps.hits = get_size(e, "hits", 0);
-                ps.misses = get_size(e, "misses", 0);
-                ps.resyncs = get_size(e, "resyncs", 0);
-                ps.evictions = get_size(e, "evictions", 0);
-                ps.relocations = get_size(e, "relocations", 0);
-                p.pools.push_back(ps);
-            }
-        }
-        if (const jvalue* v = o.find("registry")) {
-            if (v->kind != jvalue::obj_v) bad("\"registry\" must be an object");
-            registry_stats_payload rg;
-            rg.present = true;
-            rg.circuits = get_size(*v, "circuits", 0);
-            rg.resident = get_size(*v, "resident", 0);
-            rg.max_views = get_size(*v, "max_views", 0);
-            rg.view_evictions = get_u64(*v, "view_evictions", 0);
-            rg.view_rebuilds = get_u64(*v, "view_rebuilds", 0);
-            if (const jvalue* ta = v->find("tenants")) {
-                if (ta->kind != jvalue::arr_v)
-                    bad("\"tenants\" must be an array");
-                for (const jvalue& e : ta->arr) {
-                    if (e.kind != jvalue::obj_v)
-                        bad("\"tenants\" must hold objects");
-                    tenant_stats_payload ts;
-                    ts.tenant = get_string(e, "tenant", "");
-                    ts.circuits = get_size(e, "circuits", 0);
-                    ts.cache_bytes = get_size(e, "cache_bytes", 0);
-                    ts.max_circuits = get_size(e, "max_circuits", 0);
-                    ts.max_engines = get_size(e, "max_engines", 0);
-                    ts.max_cache_bytes = get_size(e, "max_cache_bytes", 0);
-                    ts.rejections = get_u64(e, "rejections", 0);
-                    rg.tenants.push_back(std::move(ts));
-                }
-            }
-            p.registry = std::move(rg);
-        }
-        if (const jvalue* v = o.find("server")) {
-            if (v->kind != jvalue::obj_v) bad("\"server\" must be an object");
-            server_stats_payload sv;
-            sv.present = true;
-            sv.active = get_size(*v, "active", 0);
-            sv.workers = get_size(*v, "workers", 0);
-            sv.max_connections = get_size(*v, "max_connections", 0);
-            sv.queue_depth = get_size(*v, "queue_depth", 0);
-            sv.queue_bytes = get_size(*v, "queue_bytes", 0);
-            sv.accepted = get_u64(*v, "accepted", 0);
-            sv.refused = get_u64(*v, "refused", 0);
-            sv.requests = get_u64(*v, "requests", 0);
-            sv.protocol_errors = get_u64(*v, "protocol_errors", 0);
-            sv.overflows = get_u64(*v, "overflows", 0);
-            sv.timeouts = get_u64(*v, "timeouts", 0);
-            sv.queue_drops = get_u64(*v, "queue_drops", 0);
-            sv.accept_backoffs = get_u64(*v, "accept_backoffs", 0);
-            p.server = sv;
-        }
-        r.payload = std::move(p);
-    } else if (kind == "evict") {
-        evict_response p;
-        p.cache_entries = get_size(o, "cache_entries", 0);
-        p.engines = get_size(o, "engines", 0);
-        r.payload = std::move(p);
-    } else if (kind == "shutdown") {
-        r.payload = shutdown_response{};
-    } else if (kind == "register_circuit") {
-        register_circuit_response p;
-        p.tenant = get_string(o, "tenant", "");
-        p.name = get_string(o, "name", "");
-        p.circuit = get_size(o, "circuit", 0);
-        p.revision = get_u64(o, "revision", 0);
-        p.inputs = get_size(o, "inputs", 0);
-        p.outputs = get_size(o, "outputs", 0);
-        p.gates = get_size(o, "gates", 0);
-        r.payload = std::move(p);
-    } else if (kind == "reload_circuit") {
-        reload_circuit_response p;
-        p.tenant = get_string(o, "tenant", "");
-        p.name = get_string(o, "name", "");
-        p.circuit = get_size(o, "circuit", 0);
-        p.revision = get_u64(o, "revision", 0);
-        p.old_revision = get_u64(o, "old_revision", 0);
-        p.reloads = get_u64(o, "reloads", 0);
-        r.payload = std::move(p);
-    } else if (kind == "list_circuits") {
-        list_circuits_response p;
-        if (const jvalue* v = o.find("entries")) {
-            if (v->kind != jvalue::arr_v) bad("\"entries\" must be an array");
-            for (const jvalue& e : v->arr) {
-                if (e.kind != jvalue::obj_v)
-                    bad("\"entries\" must hold objects");
-                catalog_entry_payload ce;
-                ce.tenant = get_string(e, "tenant", "");
-                ce.name = get_string(e, "name", "");
-                ce.circuit = get_size(e, "circuit", 0);
-                ce.revision = get_u64(e, "revision", 0);
-                ce.resident = get_bool(e, "resident", false);
-                ce.reloads = get_u64(e, "reloads", 0);
-                p.entries.push_back(std::move(ce));
-            }
-        }
-        r.payload = std::move(p);
-    } else {
-        bad("unknown response kind \"" + kind + "\"");
-    }
-    return r;
+request decode_request(std::string_view line) {
+    return decode_object<request>(line, "request");
 }
-
-}  // namespace
 
 response decode_response(std::string_view line) {
-    return decode_response_value(parser(line).parse());
+    return decode_object<response>(line, "response");
 }
 
 std::uint64_t extract_id(std::string_view line) {
     try {
         const jvalue o = parser(line).parse();
-        if (o.kind == jvalue::obj_v) return get_u64(o, "id", 0);
+        if (o.kind == jvalue::obj_v) {
+            std::uint64_t id = 0;
+            decoder d(o);
+            d("id", id);
+            return id;
+        }
     } catch (const wire_error&) {
         // Malformed line: fall through to the text scan below.
     }

@@ -3,17 +3,21 @@
 //
 // One request or response per line, UTF-8 JSON objects, no external
 // dependencies (hand-rolled recursive-descent parser in wire.cpp, in the
-// spirit of the .bench text utilities). The encoders are canonical: every
-// field of a kind is emitted, always in the same order, with doubles
-// printed in shortest round-trip form (std::to_chars) — so
-// encode(decode(encode(x))) == encode(x) byte for byte, and weight
-// vectors survive the trip losslessly.
+// spirit of the .bench text utilities). Which keys a payload carries, in
+// what order and how each is spelled is not written here: every payload
+// has one field list in svc/schema.h, and one generic encoder and one
+// generic decoder walk it. The encoders are canonical: every field of a
+// kind is emitted (the few omit_empty ones only when non-empty), always
+// in the same order, with doubles printed in shortest round-trip form
+// (std::to_chars) — so encode(decode(encode(x))) == encode(x) byte for
+// byte, and weight vectors survive the trip losslessly.
 //
 // The decoder is tolerant of unknown fields (they are skipped, so newer
 // clients can talk to older servers) but strict about values: malformed
-// JSON, non-finite numbers (JSON cannot carry NaN/inf; overflowing
-// literals like 1e999 are rejected), and unknown request/response kinds
-// throw wire_error.
+// JSON, wrongly typed values, integers out of their member's range,
+// non-finite numbers (JSON cannot carry NaN/inf; overflowing literals
+// like 1e999 are rejected), and unknown request/response kinds throw
+// wire_error.
 
 #pragma once
 

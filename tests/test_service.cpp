@@ -387,6 +387,25 @@ TEST(wire, rejects_malformed_and_non_finite_input) {
     EXPECT_THROW(
         decode_request(R"({"req":"test_length","id":1,"weights":[1e999]})"),
         wire_error);
+    // Narrowing integers are range-checked, not truncated: 2^32 + 1
+    // threads must not decode as 1.
+    EXPECT_THROW(
+        decode_request(R"({"req":"test_length","id":1,"threads":4294967297})"),
+        wire_error);
+    EXPECT_THROW(
+        decode_request(
+            R"({"req":"optimize","id":1,"options":{"threads":4294967297}})"),
+        wire_error);
+    EXPECT_EQ(std::get<test_length_request>(
+                  decode_request(
+                      R"({"req":"test_length","id":1,"threads":4294967295})")
+                      .payload)
+                  .threads,
+              4294967295u);
+    // Every string field is type-checked, simd_isa included.
+    EXPECT_THROW(
+        decode_response(R"({"id":1,"ok":true,"resp":"stats","simd_isa":7})"),
+        wire_error);
     // Encoding a non-finite value is refused too.
     request q;
     test_length_request p;

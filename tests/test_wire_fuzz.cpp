@@ -1,11 +1,13 @@
 // Fuzz/property suite for the wire codec — the contract a long-lived
 // daemon's parser must keep against arbitrary bytes: every generated
-// valid request round-trips byte-identically, and every mutated,
-// truncated or garbage line either decodes or throws wire_error — it
-// never crashes, hangs, or escapes as a non-wrpt exception. extract_id
-// must additionally be total: any byte salad yields *some* id without
-// throwing.
+// valid request and response round-trips byte-identically, and every
+// mutated, truncated or garbage line either decodes or throws wire_error
+// — it never crashes, hangs, or escapes as a non-wrpt exception.
+// extract_id must additionally be total: any byte salad yields *some* id
+// without throwing.
 //
+// The generators walk the codec's own field descriptions (svc/schema.h),
+// so every field of every kind is fuzzed without being listed here.
 // Everything is driven by the repo's deterministic splitmix/xoshiro rng,
 // so a failure reproduces from the seed printed in the assertion message.
 
@@ -15,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,13 +25,14 @@
 #include <gtest/gtest.h>
 
 #include "svc/request.h"
+#include "svc/schema.h"
 #include "svc/wire.h"
 #include "util/rng.h"
 
 namespace wrpt::svc {
 namespace {
 
-// --- random request generator ----------------------------------------------
+// --- random payloads from the field descriptions ---------------------------
 
 double finite_double(rng& r) {
     switch (r.next_below(6)) {
@@ -64,153 +68,125 @@ std::string random_text(rng& r) {
     return s;
 }
 
-weight_vector random_weights(rng& r) {
-    weight_vector w(r.next_below(12));
-    for (double& x : w) x = finite_double(r);
-    return w;
-}
+/// Fills any described payload with random values by walking its field
+/// description, and records the spellings it produced ("name:sent",
+/// "name:omitted", "req=optimize", ...) so the properties can check they
+/// reached every kind and both spellings of every omit_empty field.
+class random_fill {
+public:
+    explicit random_fill(rng& r) : r_(r) {}
 
-optimize_options random_options(rng& r) {
-    optimize_options o;
-    o.confidence = finite_double(r);
-    o.alpha = finite_double(r);
-    o.max_sweeps = r.next_below(100);
-    o.weight_min = finite_double(r);
-    o.weight_max = finite_double(r);
-    o.grid = finite_double(r);
-    o.max_relevant_faults = static_cast<std::size_t>(r.next_word());
-    o.relevance_window = finite_double(r);
-    o.saddle_escape = r.next_below(2) == 0;
-    o.saddle_perturbation = finite_double(r);
-    o.trust_step = finite_double(r);
-    o.prepare_block = r.next_below(64);
-    o.threads = static_cast<unsigned>(r.next_below(16));
-    return o;
-}
+    template <class T>
+    void operator()(std::string_view, T& m) {
+        value(m);
+    }
 
-/// A registry address for name-addressed jobs and catalog requests:
-/// sometimes empty (the field stays off the wire), sometimes a plain
-/// token, sometimes hostile text with separators and escapes.
-std::string random_name(rng& r) {
-    switch (r.next_below(4)) {
-        case 0: return "";
-        case 1: return "acme/alu";
-        case 2: return "t/" + std::to_string(r.next_below(1000));
-        default: return random_text(r);
+    template <class T>
+    void operator()(std::string_view key, T& m, omit_empty_t) {
+        const bool sent = r_.next_below(2) == 0;
+        seen.insert(std::string(key) + (sent ? ":sent" : ":omitted"));
+        if (!sent) return;
+        if constexpr (requires { m.present; }) m.present = true;
+        do value(m);
+        while (empty_field(m));
+    }
+
+    void operator()(std::string_view, bool& m, true_unless_sent) { value(m); }
+
+    template <class K, std::size_t N>
+    void operator()(std::string_view key, K& m, const kind_names<N>& kinds) {
+        const std::size_t i = r_.next_below(N);
+        seen.insert(std::string(key) + "=" + std::string(kinds.names[i]));
+        set_kind(m, i);
+    }
+
+    template <class F>
+    void group(std::string_view, F&& list) {
+        list(*this);
+    }
+
+    template <class T>
+    void value(T& m) {
+        if constexpr (std::is_same_v<T, std::string>) {
+            m = random_text(r_);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            m = r_.next_below(2) == 0;
+        } else if constexpr (std::is_same_v<T, double>) {
+            m = finite_double(r_);
+        } else if constexpr (std::is_unsigned_v<T>) {
+            // Small values and the member's whole range alike.
+            m = static_cast<T>(r_.next_below(2) ? r_.next_below(1000)
+                                                : r_.next_word());
+        } else if constexpr (wire_list<T>) {
+            // Lists three objects deep stay empty, which bounds matrix
+            // results that nest matrix results.
+            m.resize(depth_ < 3 ? r_.next_below(8) : 0);
+            for (auto& e : m) value(e);
+        } else {
+            ++depth_;
+            fields(m, *this);
+            --depth_;
+        }
+    }
+
+    template <class T>
+    T make() {
+        T m;
+        value(m);
+        return m;
+    }
+
+    std::set<std::string> seen;
+
+private:
+    rng& r_;
+    int depth_ = 0;
+};
+
+/// The fill reached every kind under `key` and both spellings of every
+/// omit_empty field it met.
+template <std::size_t N>
+void expect_coverage(const random_fill& fill, const std::string& key,
+                     const kind_names<N>& kinds) {
+    for (const std::string_view name : kinds.names)
+        EXPECT_EQ(fill.seen.count(key + "=" + std::string(name)), 1u)
+            << key << "=" << name << " never generated";
+    for (const std::string& s : fill.seen) {
+        const std::size_t colon = s.find(':');
+        if (colon == std::string::npos) continue;
+        const std::string field = s.substr(0, colon);
+        EXPECT_EQ(fill.seen.count(field + ":sent"), 1u) << field;
+        EXPECT_EQ(fill.seen.count(field + ":omitted"), 1u) << field;
     }
 }
 
-request random_request(rng& r, int depth = 0) {
-    request q;
-    q.id = r.next_word();
-    switch (r.next_below(depth == 0 ? 11 : 10)) {  // matrix only at top level
-        case 0: {
-            load_circuit_request p;
-            p.name = random_text(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 1: {
-            test_length_request p;
-            p.circuit = static_cast<std::size_t>(r.next_word());
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.confidence = finite_double(r);
-            p.threads = static_cast<unsigned>(r.next_below(16));
-            q.payload = std::move(p);
-            break;
-        }
-        case 2: {
-            optimize_request p;
-            p.circuit = r.next_below(1000);
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.options = random_options(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 3: {
-            fault_sim_request p;
-            p.circuit = r.next_below(1000);
-            p.name = random_name(r);
-            p.weights = random_weights(r);
-            p.patterns = r.next_word();
-            p.seed = r.next_word();
-            q.payload = std::move(p);
-            break;
-        }
-        case 4: {
-            stats_request p;
-            q.payload = p;
-            break;
-        }
-        case 5: {
-            evict_request p;
-            p.all = r.next_below(2) == 0;
-            p.circuit = r.next_below(1000);
-            p.keep_engines = r.next_below(100);
-            q.payload = p;
-            break;
-        }
-        case 6: {
-            q.payload = shutdown_request{};
-            break;
-        }
-        case 7: {
-            register_circuit_request p;
-            p.tenant = random_text(r);
-            p.name = random_name(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 8: {
-            reload_circuit_request p;
-            p.tenant = random_text(r);
-            p.name = random_name(r);
-            p.bench = random_text(r);
-            p.path = random_text(r);
-            p.suite = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        case 9: {
-            list_circuits_request p;
-            p.tenant = random_text(r);
-            q.payload = std::move(p);
-            break;
-        }
-        default: {
-            matrix_request p;
-            p.kind = static_cast<job_kind>(r.next_below(3));
-            const std::uint64_t nc = r.next_below(5);
-            for (std::uint64_t i = 0; i < nc; ++i)
-                p.circuits.push_back(r.next_below(1000));
-            const std::uint64_t nw = r.next_below(4);
-            for (std::uint64_t i = 0; i < nw; ++i)
-                p.weight_sets.push_back(random_weights(r));
-            p.options = random_options(r);
-            p.patterns = r.next_word();
-            p.seed = r.next_word();
-            p.confidence = finite_double(r);
-            q.payload = std::move(p);
-            break;
+/// 1-4 random byte edits: overwrite, insert, or delete.
+std::string mutate(rng& r, std::string line) {
+    const std::uint64_t edits = 1 + r.next_below(4);
+    for (std::uint64_t e = 0; e < edits && !line.empty(); ++e) {
+        const std::size_t pos = r.next_below(line.size());
+        switch (r.next_below(3)) {
+            case 0: line[pos] = static_cast<char>(r.next_below(256)); break;
+            case 1:
+                line.insert(pos, 1, static_cast<char>(r.next_below(256)));
+                break;
+            default: line.erase(pos, 1); break;
         }
     }
-    return q;
+    return line;
+}
+
+std::string truncate(rng& r, const std::string& line) {
+    return line.substr(0, r.next_below(line.size() + 1));
 }
 
 // --- properties -------------------------------------------------------------
 
 TEST(wire_fuzz, random_valid_requests_round_trip_byte_identically) {
     rng r(0xf022ed1);
+    random_fill fill(r);
     for (int trial = 0; trial < 2000; ++trial) {
-        const request q = random_request(r);
+        const request q = fill.make<request>();
         const std::string wire1 = encode(q);
         request back;
         ASSERT_NO_THROW(back = decode_request(wire1))
@@ -222,50 +198,45 @@ TEST(wire_fuzz, random_valid_requests_round_trip_byte_identically) {
         // And so is a second cycle (no drift).
         ASSERT_EQ(encode(decode_request(wire2)), wire2) << "trial " << trial;
     }
+    expect_coverage(fill, "req", request_kinds);
+    expect_coverage(fill, "kind", job_kinds);
 }
 
-/// Run one hostile line through the decoder: any outcome is fine except a
-/// crash, a hang, or an exception that is not wire_error.
+/// Run one hostile line through both decoders: any outcome is fine except
+/// a crash, a hang, or an exception that is not wire_error.
 void expect_contained(const std::string& line, const char* what, int trial) {
-    try {
-        (void)decode_request(line);
-    } catch (const wire_error&) {
-        // The documented failure mode.
-    } catch (const std::exception& e) {
-        FAIL() << what << " trial " << trial
-               << ": non-wire exception: " << e.what() << "\nline: " << line;
-    }
+    const auto contained = [&](auto decode) {
+        try {
+            (void)decode(line);
+        } catch (const wire_error&) {
+            // The documented failure mode.
+        } catch (const std::exception& e) {
+            FAIL() << what << " trial " << trial << ": non-wire exception: "
+                   << e.what() << "\nline: " << line;
+        }
+    };
+    contained(decode_request);
+    contained(decode_response);
     // extract_id is total: never throws, whatever the bytes.
     (void)extract_id(line);
 }
 
 TEST(wire_fuzz, mutated_requests_decode_or_raise_wire_error) {
     rng r(0xbadc0de);
-    for (int trial = 0; trial < 4000; ++trial) {
-        std::string line = encode(random_request(r));
-        // 1-4 random byte edits: overwrite, insert, or delete.
-        const std::uint64_t edits = 1 + r.next_below(4);
-        for (std::uint64_t e = 0; e < edits && !line.empty(); ++e) {
-            const std::size_t pos = r.next_below(line.size());
-            switch (r.next_below(3)) {
-                case 0: line[pos] = static_cast<char>(r.next_below(256)); break;
-                case 1:
-                    line.insert(pos, 1, static_cast<char>(r.next_below(256)));
-                    break;
-                default: line.erase(pos, 1); break;
-            }
-        }
-        expect_contained(line, "mutated", trial);
-    }
+    random_fill fill(r);
+    for (int trial = 0; trial < 4000; ++trial)
+        expect_contained(mutate(r, encode(fill.make<request>())), "mutated",
+                         trial);
+    expect_coverage(fill, "req", request_kinds);
 }
 
 TEST(wire_fuzz, truncated_requests_decode_or_raise_wire_error) {
     rng r(0x7a61c);
-    for (int trial = 0; trial < 2000; ++trial) {
-        const std::string full = encode(random_request(r));
-        const std::string line = full.substr(0, r.next_below(full.size() + 1));
-        expect_contained(line, "truncated", trial);
-    }
+    random_fill fill(r);
+    for (int trial = 0; trial < 2000; ++trial)
+        expect_contained(truncate(r, encode(fill.make<request>())),
+                         "truncated", trial);
+    expect_coverage(fill, "req", request_kinds);
 }
 
 TEST(wire_fuzz, garbage_lines_decode_or_raise_wire_error) {
@@ -301,6 +272,8 @@ TEST(wire_fuzz, structured_garbage_decodes_or_raises_wire_error) {
         "{\"req\":\"reload_circuit\",\"tenant\":\"t\",\"name\":null}",
         "{\"req\":\"list_circuits\",\"tenant\":{\"a\":1}}",
         "{\"req\":\"test_length\",\"name\":\"t/c\",\"circuit\":\"t/c\"}",
+        "{\"req\":\"test_length\",\"id\":1,\"threads\":4294967297}",
+        "{\"id\":1,\"ok\":true,\"resp\":\"stats\",\"simd_isa\":7}",
         "null",
         "[]",
         "\"stats\"",
@@ -315,8 +288,9 @@ TEST(wire_fuzz, extract_id_recovers_ids_from_broken_lines) {
     // A truncated request whose "id" field survived must still be
     // addressable, so the daemon's error envelope reaches the caller.
     rng r(0x1dc0ffee);
+    random_fill fill(r);
     for (int trial = 0; trial < 500; ++trial) {
-        request q = random_request(r);
+        request q = fill.make<request>();
         q.id = 1 + r.next_below(1u << 30);  // nonzero, exactly recoverable
         std::string line = encode(q);
         // The canonical encoders place "id" first or second; keep the
@@ -340,126 +314,19 @@ TEST(wire_fuzz, extract_id_recovers_ids_from_broken_lines) {
 }
 
 TEST(wire_fuzz, responses_survive_mutation_too) {
-    // decode_response shares the parser; exercise its kind dispatch with
-    // mutated *response* lines (the client's hostile-server story).
+    // decode_response shares the parser; the same round-trip, mutation
+    // and truncation properties hold for every response kind (the
+    // client's hostile-server story).
     rng r(0x5e5510);
-    for (int trial = 0; trial < 1000; ++trial) {
-        response resp;
-        resp.id = r.next_word();
-        resp.ok = r.next_below(2) == 0;
-        switch (r.next_below(6)) {
-            case 0:
-                resp.payload = error_response{random_text(r), random_text(r)};
-                break;
-            case 1: {
-                register_circuit_response p;
-                p.tenant = random_text(r);
-                p.name = random_name(r);
-                p.circuit = r.next_below(1000);
-                p.revision = r.next_word();
-                p.inputs = r.next_below(100);
-                p.outputs = r.next_below(100);
-                p.gates = r.next_below(10000);
-                resp.payload = std::move(p);
-                break;
-            }
-            case 2: {
-                reload_circuit_response p;
-                p.tenant = random_text(r);
-                p.name = random_name(r);
-                p.circuit = r.next_below(1000);
-                p.revision = r.next_word();
-                p.old_revision = r.next_word();
-                p.reloads = r.next_below(100);
-                resp.payload = std::move(p);
-                break;
-            }
-            case 3: {
-                list_circuits_response p;
-                const std::uint64_t rows = r.next_below(4);
-                for (std::uint64_t i = 0; i < rows; ++i) {
-                    catalog_entry_payload e;
-                    e.tenant = random_text(r);
-                    e.name = random_name(r);
-                    e.circuit = r.next_below(1000);
-                    e.revision = r.next_word();
-                    e.resident = r.next_below(2) == 0;
-                    e.reloads = r.next_below(100);
-                    p.entries.push_back(std::move(e));
-                }
-                resp.payload = std::move(p);
-                break;
-            }
-            case 4: {
-                test_length_response p;
-                p.circuit = r.next_below(100);
-                p.revision = r.next_word();
-                p.cached = r.next_below(2) == 0;
-                p.elapsed_ms = finite_double(r);
-                p.length.feasible = true;
-                p.length.test_length = finite_double(r);
-                resp.payload = p;
-                break;
-            }
-            default: {
-                stats_response p;
-                p.requests = r.next_word();
-                p.cache_hits = r.next_word();
-                pool_stats_payload ps;
-                ps.circuit = r.next_below(8);
-                ps.hits = static_cast<std::size_t>(r.next_word());
-                p.pools.push_back(ps);
-                // Half the trials carry the socket-server section, so
-                // both the present and the absent encodings round-trip.
-                if (r.next_below(2) == 0) {
-                    p.server.present = true;
-                    p.server.active = r.next_below(10000);
-                    p.server.workers = 1 + r.next_below(64);
-                    p.server.accepted = r.next_word();
-                    p.server.refused = r.next_word();
-                    p.server.queue_drops = r.next_word();
-                    p.server.accept_backoffs = r.next_word();
-                }
-                // Likewise for the registry section, with and without
-                // per-tenant quota rows.
-                if (r.next_below(2) == 0) {
-                    p.registry.present = true;
-                    p.registry.circuits = r.next_below(2000);
-                    p.registry.resident = r.next_below(64);
-                    p.registry.max_views = r.next_below(64);
-                    p.registry.view_evictions = r.next_word();
-                    p.registry.view_rebuilds = r.next_word();
-                    const std::uint64_t nt = r.next_below(3);
-                    for (std::uint64_t i = 0; i < nt; ++i) {
-                        tenant_stats_payload t;
-                        t.tenant = random_text(r);
-                        t.circuits = r.next_below(100);
-                        t.cache_bytes = r.next_below(1 << 20);
-                        t.max_circuits = r.next_below(100);
-                        t.max_engines = r.next_below(16);
-                        t.max_cache_bytes = r.next_below(1 << 20);
-                        t.rejections = r.next_word();
-                        p.registry.tenants.push_back(std::move(t));
-                    }
-                }
-                resp.payload = std::move(p);
-                break;
-            }
-        }
-        std::string line = encode(resp);
+    random_fill fill(r);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const std::string line = encode(fill.make<response>());
         ASSERT_EQ(encode(decode_response(line)), line) << "trial " << trial;
-        const std::size_t pos = r.next_below(line.size());
-        line[pos] = static_cast<char>(r.next_below(256));
-        try {
-            (void)decode_response(line);
-        } catch (const wire_error&) {
-        } catch (const std::exception& e) {
-            FAIL() << "response trial " << trial
-                   << ": non-wire exception: " << e.what();
-        }
+        expect_contained(mutate(r, line), "mutated response", trial);
+        expect_contained(truncate(r, line), "truncated response", trial);
     }
+    expect_coverage(fill, "resp", response_kinds);
 }
-
 
 // --- golden canonical bytes -------------------------------------------------
 
@@ -514,24 +381,28 @@ std::vector<response> golden_responses() {
     bare.circuits = 1;
     bare.simd_isa = "avx2";
     bare.simd_lanes = 4;
-    bare.pools = {{0, 11, 2, 1, 0, 5, 2, 0, 0, 3}, {1, 12, 1, 1, 4, 0, 1, 1, 1, 0}};
+    bare.pools = {{0, 11, 2, 1, 0, 5, 2, 0, 0, 3},
+                  {1, 12, 1, 1, 4, 0, 1, 1, 1, 0}};
     stats_response full = bare;
     full.cache_evictions = 6;
     full.registry = {true, 2, 1, 8, 3, 4,
-                     {{"acme", 2, 512, 10, 4, 4096, 1}, {golden_text, 0, 0, 0, 0, 0, 0}}};
+                     {{"acme", 2, 512, 10, 4, 4096, 1},
+                      {golden_text, 0, 0, 0, 0, 0, 0}}};
     full.server = {true, 3, 4, 100, 16, 65536, 9, 1, 40, 2, 0, 1, 1, 0};
     optimize_response opt{0, 21, false, 12.5, true, 1e9, 3.5e4, 3, 40, 0,
                           {0.05, 0.95, shortest},
                           {true, 3.5e4, 17, 0, subnormal}};
     matrix_response mx;
-    mx.results = {response{0, true, test_length_response{1, 3, true, 0.0,
-                                                         {false, 0.0, 0, 2, 0.0}}},
+    mx.results = {response{0, true,
+                           test_length_response{1, 3, true, 0.0,
+                                                {false, 0.0, 0, 2, 0.0}}},
                   make_error(0, "circuit 9 not found", "not_found")};
     return {
         make_error(101, "wire: bad number"),
         make_error(102, golden_text, "quota"),
-        {103, true, load_circuit_response{0, "S1", 32, 1, 90, 180,
-                                          std::numeric_limits<std::uint64_t>::max()}},
+        {103, true,
+         load_circuit_response{0, "S1", 32, 1, 90, 180,
+                               std::numeric_limits<std::uint64_t>::max()}},
         {104, true, test_length_response{2, 7, true, 0.0,
                                          {true, 123456.75, 40, 1, 1e-12}}},
         {105, true, opt},
@@ -544,8 +415,9 @@ std::vector<response> golden_responses() {
         {111, true, shutdown_response{}},
         {112, true, register_circuit_response{"acme", "alu", 3, 30, 8, 2, 40}},
         {113, true, reload_circuit_response{"acme", "alu", 3, 31, 30, 1}},
-        {114, true, list_circuits_response{{{"acme", "alu", 3, 31, true, 1},
-                                            {golden_text, "x", 4, 0, false, 0}}}},
+        {114, true,
+         list_circuits_response{{{"acme", "alu", 3, 31, true, 1},
+                                 {golden_text, "x", 4, 0, false, 0}}}},
         {115, true, list_circuits_response{}},
     };
 }
