@@ -6,6 +6,7 @@
 
 #include "svc/service.h"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -368,6 +369,116 @@ TEST(wire, decoder_tolerates_unknown_fields) {
     EXPECT_EQ(p.weights, (weight_vector{0.5}));
     EXPECT_EQ(p.confidence, 0.99);
     EXPECT_EQ(p.threads, 2u);
+}
+
+// --- decoder semantics -------------------------------------------------------
+//
+// What the decoder accepts beyond the canonical encoding: key order,
+// unknown and duplicate keys, missing keys, escapes, nesting depth.
+
+TEST(wire, the_kind_may_follow_the_payload_fields) {
+    const request q = decode_request(
+        R"({"weights":[0.25,0.75],"threads":3,"circuit":4,"id":7,)"
+        R"("req":"test_length"})");
+    EXPECT_EQ(q.id, 7u);
+    const auto& p = std::get<test_length_request>(q.payload);
+    EXPECT_EQ(p.circuit, 4u);
+    EXPECT_EQ(p.weights, (weight_vector{0.25, 0.75}));
+    EXPECT_EQ(p.threads, 3u);
+    const response r = decode_response(
+        R"({"weights":[0.5],"resp":"optimize","ok":true,"id":2})");
+    EXPECT_EQ(std::get<optimize_response>(r.payload).weights,
+              (weight_vector{0.5}));
+    // Keys are compared after unescaping.
+    EXPECT_EQ(decode_request(R"({"\u0069d":6,"req":"stats"})").id, 6u);
+}
+
+TEST(wire, unknown_keys_holding_nested_values_are_skipped) {
+    const request q = decode_request(
+        R"({"req":"optimize","skip":{"a":[1,{"b":[[],{}]}],"c":"é"},)"
+        R"("id":5,"also":[{"x":null},[true,false,-1.5e3]],)"
+        R"("options":{"unknown":{"deep":[{}]},"max_sweeps":4}})");
+    EXPECT_EQ(q.id, 5u);
+    EXPECT_EQ(std::get<optimize_request>(q.payload).options.max_sweeps, 4u);
+}
+
+TEST(wire, the_first_of_duplicate_keys_wins) {
+    const auto p = std::get<test_length_request>(
+        decode_request(R"({"req":"test_length","id":1,)"
+                       R"("confidence":0.95,"confidence":"x"})")
+            .payload);
+    EXPECT_EQ(p.confidence, 0.95);
+    EXPECT_EQ(decode_request(R"({"req":"stats","id":3,"id":4})").id, 3u);
+    EXPECT_EQ(decode_request(R"({"req":"stats","req":"bogus","id":1})").kind(),
+              request_kind::stats);
+}
+
+TEST(wire, missing_keys_keep_their_defaults) {
+    const request q = decode_request(R"({"req":"fault_sim"})");
+    EXPECT_EQ(q.id, 0u);
+    const auto& f = std::get<fault_sim_request>(q.payload);
+    EXPECT_EQ(f.circuit, 0u);
+    EXPECT_TRUE(f.name.empty());
+    EXPECT_TRUE(f.weights.empty());
+    EXPECT_EQ(f.patterns, 4096u);
+    EXPECT_EQ(f.seed, 1u);
+
+    const auto o = std::get<optimize_request>(
+        decode_request(R"({"req":"optimize","options":{"alpha":0.25}})")
+            .payload);
+    const optimize_options defaults;
+    EXPECT_EQ(o.options.alpha, 0.25);
+    EXPECT_EQ(o.options.confidence, defaults.confidence);
+    EXPECT_EQ(o.options.max_sweeps, defaults.max_sweeps);
+    EXPECT_EQ(o.options.prepare_block, defaults.prepare_block);
+    EXPECT_EQ(o.options.saddle_escape, defaults.saddle_escape);
+}
+
+TEST(wire, an_escaped_surrogate_pair_in_a_name_decodes_to_utf8) {
+    const request q = decode_request(
+        R"({"req":"load_circuit","id":1,"name":"a\ud83d\ude00\n\u00e9b",)"
+        R"("suite":"S1"})");
+    EXPECT_EQ(std::get<load_circuit_request>(q.payload).name,
+              "a\xF0\x9F\x98\x80\n\xC3\xA9"
+              "b");
+}
+
+TEST(wire, nesting_is_capped_at_64_levels_even_under_unknown_keys) {
+    // The enclosing object is level 1, so 63 arrays fit under a key and
+    // a 64th (65 levels in all) is refused.
+    const auto nested = [](int levels) {
+        std::string line = R"({"req":"stats","id":1,"x":)";
+        line += std::string(static_cast<std::size_t>(levels), '[');
+        line += std::string(static_cast<std::size_t>(levels), ']');
+        return line + "}";
+    };
+    EXPECT_EQ(decode_request(nested(63)).id, 1u);
+    EXPECT_THROW(decode_request(nested(64)), wire_error);
+    EXPECT_THROW(decode_request(nested(65)), wire_error);
+}
+
+TEST(wire, a_wide_weight_vector_round_trips_byte_for_byte) {
+    rng r(2688);
+    test_length_request p;
+    p.circuit = 1;
+    for (std::size_t i = 0; i < 2688; ++i)
+        p.weights.push_back(static_cast<double>(r.next_word()) * 0x1p-64);
+    p.weights[0] = 5e-324;
+    p.weights[1] = -0.0;
+    p.weights[2] = 1.0;
+    p.weights[3] = 0.1;
+    request q;
+    q.id = 11;
+    q.payload = p;
+    const std::string line = encode(q);
+    EXPECT_NE(line.find("[5e-324,-0,1,0.1,"), std::string::npos);
+    const request back = decode_request(line);
+    const auto& w = std::get<test_length_request>(back.payload).weights;
+    ASSERT_EQ(w.size(), p.weights.size());
+    for (std::size_t i = 0; i < w.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(w[i]),
+                  std::bit_cast<std::uint64_t>(p.weights[i]));
+    EXPECT_EQ(encode(back), line);
 }
 
 TEST(wire, rejects_malformed_and_non_finite_input) {
