@@ -1,6 +1,7 @@
 #include "svc/service.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "exec/engine_pool.h"
 #include "gen/suite.h"
 #include "io/bench_io.h"
+#include "svc/schema.h"
 #include "svc/wire.h"
 #include "util/error.h"
 
@@ -68,8 +70,10 @@ response service::handle(const request& q) {
                 } else if constexpr (std::is_same_v<T, matrix_request>) {
                     return handle_matrix(q.id, p);
                 } else {
-                    // One of the three job kinds: a batch of one.
-                    return run_jobs(q.id, {job_request{p}}).front();
+                    // One of the three job kinds: a batch of one, by
+                    // reference.
+                    const job_ref job{&p};
+                    return run_jobs(q.id, {&job, 1}).front();
                 }
             },
             q.payload);
@@ -337,7 +341,6 @@ std::string validate_options(const fault_sim_request&) { return {}; }
 std::string service::resolve_named(job_request& j, std::string* code) const {
     const std::string name =
         std::visit([](const auto& p) { return p.name; }, j);
-    if (name.empty()) return {};
     const registry::resolution r = registry_.resolve(name);
     if (!r.found) {
         *code = "not-found";
@@ -360,13 +363,13 @@ std::string service::resolve_named(job_request& j, std::string* code) const {
     return {};
 }
 
-std::string service::validate(const job_request& j) const {
+std::string service::validate(job_ref j) const {
     const std::size_t handle =
-        std::visit([](const auto& p) { return p.circuit; }, j);
+        std::visit([](const auto* p) { return p->circuit; }, j);
     if (!session_->has_circuit(handle))
         return "bad circuit handle " + std::to_string(handle);
     const weight_vector& weights = std::visit(
-        [](const auto& p) -> const weight_vector& { return p.weights; }, j);
+        [](const auto* p) -> const weight_vector& { return p->weights; }, j);
     if (!weights.empty() &&
         weights.size() != session_->circuit(handle).input_count())
         return "weight count mismatch: got " + std::to_string(weights.size()) +
@@ -377,56 +380,80 @@ std::string service::validate(const job_request& j) const {
         if (!std::isfinite(w)) return "weights must be finite";
         if (w < 0.0 || w > 1.0) return "weights must lie in [0,1]";
     }
-    return std::visit([](const auto& p) { return validate_options(p); }, j);
-}
-
-service::cache_locator service::key_of(const job_request& j) const {
-    cache_locator key;
-    key.circuit = std::visit([](const auto& p) { return p.circuit; }, j);
-    key.revision = session_->circuit(key.circuit).revision();
-    // Canonical fingerprint: the wire encoding of the job with the
-    // level-1 handle zeroed, the empty (= uniform) weight shorthand
-    // resolved so both spellings of the same query share one entry, and
-    // the result-neutral thread counts normalized away — results are
-    // thread-invariant by the pipeline's bit-identity contract, so
-    // clients that differ only in threads share entries. Exact by
-    // construction — the encoder prints the kind, every option field and
-    // the full weight vector, always in the same order, with round-trip
-    // double formatting.
-    job_request normalized = j;
-    std::visit(
-        [&](auto& p) {
-            using T = std::decay_t<decltype(p)>;
-            p.circuit = 0;
-            if (p.weights.empty())
-                p.weights = uniform_weights(session_->circuit(key.circuit));
-            if constexpr (std::is_same_v<T, test_length_request>)
-                p.threads = 1;
-            else if constexpr (std::is_same_v<T, optimize_request>)
-                p.options.threads = 1;
-        },
-        normalized);
-    request q;
-    std::visit([&](auto&& p) { q.payload = std::move(p); },
-               std::move(normalized));
-    key.fingerprint = encode(q);
-    return key;
+    return std::visit([](const auto* p) { return validate_options(*p); }, j);
 }
 
 namespace {
 
-/// Deterministic, platform-stable approximation of an entry's retained
-/// bytes: the fingerprint key, a fixed per-entry overhead, and the
-/// variable-length result payloads (weights and sweep history at 8 bytes
-/// per element, history records carry a double + a size).
-std::uint64_t entry_cost(const std::string& fingerprint,
-                         const batch_session::result& r) {
-    return static_cast<std::uint64_t>(fingerprint.size()) + 64 +
-           8 * static_cast<std::uint64_t>(r.optimized.weights.size()) +
-           16 * static_cast<std::uint64_t>(r.optimized.history.size());
-}
+/// Appends a job's cache fingerprint by walking its field list: numbers
+/// as 8 bytes (doubles by bit pattern), strings and weight vectors behind
+/// their length, so equal keys mean equal jobs. Left out: the level-1 handle,
+/// the registry name (resolved to it first) and the thread counts (results
+/// are thread-invariant). Empty weights are written as the uniform vector.
+struct key_writer {
+    std::string& out;
+    const netlist& circuit;
+
+    template <class T>
+    void operator()(std::string_view key, const T& m, omit_empty_t = {}) {
+        if (key == "circuit" || key == "name" || key == "threads") return;
+        if constexpr (std::is_same_v<T, double>) {
+            (*this)(key, std::bit_cast<std::uint64_t>(m));
+        } else if constexpr (std::is_unsigned_v<T>) {
+            const std::uint64_t v = m;
+            out.append(reinterpret_cast<const char*>(&v), sizeof v);
+        } else if constexpr (std::is_same_v<T, std::string> ||
+                             std::is_same_v<T, weight_vector>) {
+            if constexpr (std::is_same_v<T, weight_vector>) {
+                if (m.empty() && circuit.input_count() != 0)
+                    return (*this)(key, uniform_weights(circuit));
+            }
+            (*this)(key, m.size());
+            out.append(reinterpret_cast<const char*>(m.data()),
+                       m.size() * sizeof m[0]);
+        } else {
+            fields(m, *this);  // optimize_options
+        }
+    }
+};
 
 }  // namespace
+
+service::cache_locator service::key_of(job_ref j) const {
+    cache_locator key;
+    key.circuit = std::visit([](const auto* p) { return p->circuit; }, j);
+    const netlist& circuit = session_->circuit(key.circuit);
+    key.revision = circuit.revision();
+    key.fingerprint.reserve(8 * circuit.input_count() + 256);
+    key.fingerprint.push_back(static_cast<char>(j.index()));  // the kind
+    key_writer w{key.fingerprint, circuit};
+    std::visit([&](const auto* p) { fields(*p, w); }, j);
+    return key;
+}
+
+std::uint64_t service::entry_cost(job_ref j,
+                                  const batch_session::result& r) const {
+    // Deterministic, platform-stable approximation of an entry's retained
+    // bytes: the job's canonical wire length under key_of's normalizations
+    // (on a copy: misses only), a fixed overhead, and the result payloads
+    // (weights and sweep history at 8 and 16 bytes per element).
+    request q;
+    std::visit(
+        [&](const auto* p) {
+            auto n = *p;
+            n.circuit = 0;
+            n.name.clear();
+            if (n.weights.empty())
+                n.weights = uniform_weights(session_->circuit(p->circuit));
+            if constexpr (requires { n.threads; }) n.threads = 1;
+            if constexpr (requires { n.options.threads; })
+                n.options.threads = 1;
+            q.payload = std::move(n);
+        },
+        j);
+    return encode(q).size() + 64 + 8 * r.optimized.weights.size() +
+           16 * r.optimized.history.size();
+}
 
 const service::cache_entry* service::probe_cached(const cache_locator& key) {
     // Caller holds cache_mutex_.
@@ -437,7 +464,8 @@ const service::cache_entry* service::probe_cached(const cache_locator& key) {
     return it == b->entries.end() ? nullptr : &it->second;
 }
 
-void service::insert_cached(cache_locator key, const batch_session::result& r) {
+void service::insert_cached(cache_locator key, std::uint64_t cost,
+                            const batch_session::result& r) {
     // Caller holds cache_mutex_.
     const std::uint64_t seq = ++cache_sequence_;
     circuit_bucket& b = cache_[key.circuit];
@@ -454,7 +482,6 @@ void service::insert_cached(cache_locator key, const batch_session::result& r) {
         b.bytes = 0;
         b.revision = key.revision;
     }
-    const std::uint64_t cost = entry_cost(key.fingerprint, r);
     const auto [it, fresh] = b.entries.try_emplace(key.fingerprint);
     if (!fresh) {
         // Benign same-key race (two connections computed the same bits):
@@ -617,25 +644,31 @@ response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
     // lock as the jobs themselves — a concurrent load_circuit would
     // otherwise race the expansion's circuit_count() read.
     read_lock session_lock(session_mutex_);
+    const std::vector<job_request> jobs = session_->expand_matrix(p);
+    std::vector<job_ref> refs;
+    refs.reserve(jobs.size());
+    for (const job_request& j : jobs)
+        refs.push_back(std::visit([](const auto& q) { return job_ref{&q}; }, j));
     response r;
     r.id = id;
     matrix_response m;
-    m.results = run_jobs_locked(id, session_->expand_matrix(p));
+    m.results = run_jobs_locked(id, refs);
     r.payload = std::move(m);
     return r;
 }
 
 namespace {
 
-const std::string& job_name(const job_request& j) {
+template <class... P>
+const std::string& job_name(const std::variant<const P*...>& j) {
     return std::visit(
-        [](const auto& p) -> const std::string& { return p.name; }, j);
+        [](const auto* p) -> const std::string& { return p->name; }, j);
 }
 
 }  // namespace
 
 std::vector<response> service::run_jobs(std::uint64_t id,
-                                        const std::vector<job_request>& jobs) {
+                                        std::span<const job_ref> jobs) {
     // Shared session lock for the whole batch: the circuit table stays
     // stable under us while concurrent run_jobs callers from other
     // connections proceed in parallel (only load/register/reload exclude).
@@ -644,7 +677,7 @@ std::vector<response> service::run_jobs(std::uint64_t id,
     {
         read_lock session_lock(session_mutex_);
         bool compile = false;
-        for (const job_request& j : jobs) {
+        for (const job_ref j : jobs) {
             const std::string& name = job_name(j);
             if (!name.empty() && registry_.needs_compile(name)) {
                 compile = true;
@@ -658,15 +691,15 @@ std::vector<response> service::run_jobs(std::uint64_t id,
     // batch, so the views we materialize cannot be re-evicted by a
     // concurrent batch before our jobs resolve against them.
     write_lock session_lock(session_mutex_);
-    for (const job_request& j : jobs) {
+    for (const job_ref j : jobs) {
         const std::string& name = job_name(j);
         if (!name.empty()) registry_.ensure_resident(*session_, name);
     }
     return run_jobs_locked(id, jobs);
 }
 
-std::vector<response> service::run_jobs_locked(
-    std::uint64_t id, const std::vector<job_request>& jobs) {
+std::vector<response> service::run_jobs_locked(std::uint64_t id,
+                                               std::span<const job_ref> jobs) {
     std::vector<response> out(jobs.size());
     std::vector<cache_locator> keys(jobs.size());
     // Validate and probe the cache up front; only distinct cache misses
@@ -682,11 +715,17 @@ std::vector<response> service::run_jobs_locked(
     std::vector<std::vector<std::size_t>> owners;  // per slot: job indices
     std::vector<job_request> to_run;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        job_request j = jobs[i];
-        std::string code;
-        if (std::string msg = resolve_named(j, &code); !msg.empty()) {
-            out[i] = make_error(id, msg, code);
-            continue;
+        job_ref j = jobs[i];
+        job_request named;  // a named job's copy, rewritten to its handle
+        if (!job_name(j).empty()) {
+            named = std::visit([](const auto* p) { return job_request{*p}; },
+                               j);
+            std::string code;
+            if (std::string msg = resolve_named(named, &code); !msg.empty()) {
+                out[i] = make_error(id, msg, code);
+                continue;
+            }
+            j = std::visit([](const auto& p) { return job_ref{&p}; }, named);
         }
         if (std::string msg = validate(j); !msg.empty()) {
             out[i] = make_error(id, msg);
@@ -703,7 +742,8 @@ std::vector<response> service::run_jobs_locked(
             std::make_pair(keys[i].circuit, keys[i].fingerprint),
             to_run.size());
         if (fresh) {
-            to_run.push_back(std::move(j));
+            to_run.push_back(
+                std::visit([](const auto* p) { return job_request{*p}; }, j));
             owners.push_back({i});
         } else {
             owners[slot->second].push_back(i);
@@ -730,6 +770,13 @@ std::vector<response> service::run_jobs_locked(
                 }
             }
         }
+        std::vector<std::uint64_t> costs(to_run.size());
+        for (std::size_t k = 0; k < to_run.size(); ++k)
+            if (computed[k])
+                costs[k] = entry_cost(
+                    std::visit([](const auto& p) { return job_ref{&p}; },
+                               to_run[k]),
+                    results[k]);
         lock_guard cache_lock(cache_mutex_);
         for (std::size_t k = 0; k < to_run.size(); ++k) {
             if (!computed[k]) {
@@ -744,7 +791,7 @@ std::vector<response> service::run_jobs_locked(
             // The first job with this key is the miss that computed; any
             // duplicates in the same batch are answered from its entry.
             ++cache_misses_;
-            insert_cached(keys[owners[k].front()], results[k]);
+            insert_cached(keys[owners[k].front()], costs[k], results[k]);
             out[owners[k].front()] = to_response(id, results[k], false);
             for (std::size_t d = 1; d < owners[k].size(); ++d) {
                 ++cache_hits_;

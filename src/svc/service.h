@@ -5,23 +5,26 @@
 // Result cache — two-level. Level 1 is a dense_map keyed by the circuit
 // handle (handles are consecutive integers, so the probe is one
 // direct-index load); each bucket carries the revision it caches for and
-// a string-keyed map of entries. Level 2's key is the canonical wire
-// encoding of the *resolved* job — kind, the resolved weight vector
-// ("resolved" means an empty (= uniform) request vector and the explicit
-// uniform vector share an entry) and every option field (confidence and
-// stage threads for test_length; every optimize_options field for
-// optimize; patterns and seed for fault_sim), with the result-neutral
-// thread counts normalized away — byte-equal jobs, not
-// approximately-equal ones, hit. A repeat query therefore pays one array
-// probe + one revision compare before the string probe, and the string
-// probe only searches entries of its own circuit. A re-stamped handle
-// (new revision) orphans its whole bucket at once. All three job kinds
-// are deterministic given their key (the bit-identity invariants of the
-// pipeline and the seeded simulator), so a hit replays the stored result
-// unchanged; probe/hit/miss/eviction/bytes counters are served by the
-// stats request. Keys are exact (full weight vectors encoded with
-// round-trip double formatting), so a cache hit can never alias two
-// different queries.
+// a string-keyed map of entries. Level 2's key is a binary fingerprint of
+// the *resolved* job, built by walking its wire field list (svc/schema.h)
+// without copying the job: the kind, then every field in schema order —
+// fixed-width integers, length-prefixed strings and lists, and each
+// double's bit pattern — with the level-1 handle, the resolved registry
+// name and the result-neutral thread counts left out, and an empty
+// (= uniform) weight vector written as the explicit uniform vector, so
+// both spellings share an entry. Two jobs share an entry exactly when
+// their normalized canonical wire encodings are equal; doubles compare
+// by bits, so 0 and -0 (equal as numbers, different on the wire) stay
+// apart. A repeat query therefore pays one array probe + one revision
+// compare before the string probe, and the string probe only searches
+// entries of its own circuit. A re-stamped handle (new revision) orphans
+// its whole bucket at once. All three job kinds are deterministic given
+// their key (the bit-identity invariants of the pipeline and the seeded
+// simulator), so a hit replays the stored result unchanged;
+// probe/hit/miss/eviction/bytes counters are served by the stats
+// request. An entry is charged the length of its job's normalized
+// canonical wire encoding (computed on insert, so the binary key does not
+// move the byte counters or quotas).
 //
 // Every request is answered with a response envelope: failures
 // (unknown circuit handles, malformed weights, non-finite values) become
@@ -58,8 +61,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "exec/batch_session.h"
@@ -130,10 +135,15 @@ public:
     const registry& catalog() const { return registry_; }
 
 private:
+    /// A job by reference: a single-job request is answered without
+    /// copying its payload (and its weight vector) into a job_request.
+    using job_ref = std::variant<const test_length_request*,
+                                 const optimize_request*,
+                                 const fault_sim_request*>;
+
     /// Where an entry lives: level-1 handle, the revision the bucket must
     /// carry for the entry to be valid, and the level-2 fingerprint (the
-    /// canonical wire encoding of the resolved job — kind, resolved
-    /// weights and every option field, threads normalized away). The
+    /// binary key of the resolved job, see the header comment). The
     /// handle keeps structurally-copied circuits (which share a revision
     /// stamp) from aliasing; the revision orphans a re-stamped handle's
     /// bucket wholesale.
@@ -180,32 +190,36 @@ private:
     /// Answer a batch of jobs: cached entries replay, the rest run
     /// concurrently through the session. responses[i] answers jobs[i].
     std::vector<response> run_jobs(std::uint64_t id,
-                                   const std::vector<job_request>& jobs);
+                                   std::span<const job_ref> jobs);
     /// The run_jobs body; the caller holds session_mutex_ shared (matrix
     /// expansion must read the circuit table under the same lock).
-    std::vector<response> run_jobs_locked(
-        std::uint64_t id, const std::vector<job_request>& jobs)
+    std::vector<response> run_jobs_locked(std::uint64_t id,
+                                          std::span<const job_ref> jobs)
         WRPT_REQUIRES_SHARED(session_mutex_);
 
-    /// Resolve a job's registry name (when set) to its handle, rewriting
-    /// the job in place — the name is cleared, so named and handle
-    /// spellings of the same query share one cache fingerprint. Returns a
-    /// non-empty message on failure and fills `code` with the typed
-    /// refusal class ("not-found" / "not-ready").
+    /// Resolve a named job's registry name to its handle, rewriting the
+    /// job in place — the name is cleared, so named and handle spellings
+    /// of the same query share one cache fingerprint. Returns a non-empty
+    /// message on failure and fills `code` with the typed refusal class
+    /// ("not-found" / "not-ready").
     std::string resolve_named(job_request& j, std::string* code) const
         WRPT_REQUIRES_SHARED(session_mutex_);
     /// Validate a job against the session (handle range, weight values);
     /// returns a non-empty message on failure.
-    std::string validate(const job_request& j) const
+    std::string validate(job_ref j) const
         WRPT_REQUIRES_SHARED(session_mutex_);
-    cache_locator key_of(const job_request& j) const
+    cache_locator key_of(job_ref j) const
+        WRPT_REQUIRES_SHARED(session_mutex_);
+    /// The bytes a cache entry for job `j` with result `r` is charged.
+    std::uint64_t entry_cost(job_ref j, const batch_session::result& r) const
         WRPT_REQUIRES_SHARED(session_mutex_);
     /// Probe the two-level cache (caller holds cache_mutex_): counts a
     /// probe, returns the entry or nullptr. Does not count hit/miss —
     /// the caller owns job-level accounting.
     const cache_entry* probe_cached(const cache_locator& key)
         WRPT_REQUIRES(cache_mutex_);
-    void insert_cached(cache_locator key, const batch_session::result& r)
+    void insert_cached(cache_locator key, std::uint64_t cost,
+                       const batch_session::result& r)
         WRPT_REQUIRES(cache_mutex_);
     /// Attribute `delta` cache bytes to the tenant owning `circuit` (a
     /// no-op for handle-loaded circuits outside the registry).

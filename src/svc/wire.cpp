@@ -3,7 +3,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -16,305 +18,39 @@ namespace wrpt::svc {
 
 namespace {
 
-// --- minimal JSON value model + recursive-descent parser --------------------
-
-struct jvalue {
-    enum kind_t { null_v, bool_v, num_v, str_v, arr_v, obj_v };
-    kind_t kind = null_v;
-    bool b = false;
-    double num = 0.0;
-    std::uint64_t unum = 0;   // exact value for unsigned integer literals
-    bool has_unum = false;
-    std::string str;
-    std::vector<jvalue> arr;
-    std::vector<std::pair<std::string, jvalue>> obj;
-
-    const jvalue* find(std::string_view key) const {
-        for (const auto& [k, v] : obj)
-            if (k == key) return &v;
-        return nullptr;
-    }
-};
-
-class parser {
-public:
-    // A view, not a string: decode paths parse straight out of the
-    // caller's buffer (connection inbuf, bench transcript) with no copy.
-    explicit parser(std::string_view text)
-        : p_(text.data()), end_(text.data() + text.size()) {}
-
-    jvalue parse() {
-        jvalue v = value();
-        skip_ws();
-        if (p_ != end_) fail("trailing characters after JSON value");
-        return v;
-    }
-
-private:
-    [[noreturn]] void fail(const std::string& why) const {
-        throw wire_error("wire: " + why);
-    }
-
-    void skip_ws() {
-        while (p_ != end_ &&
-               (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' || *p_ == '\n'))
-            ++p_;
-    }
-
-    char peek() {
-        skip_ws();
-        if (p_ == end_) fail("unexpected end of input");
-        return *p_;
-    }
-
-    void expect(char c) {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "', got '" + *p_ + "'");
-        ++p_;
-    }
-
-    bool consume(char c) {
-        skip_ws();
-        if (p_ != end_ && *p_ == c) {
-            ++p_;
-            return true;
-        }
-        return false;
-    }
-
-    // A long-lived daemon must answer a hostile line with an error
-    // envelope, not a blown stack: cap the recursion depth far above any
-    // legitimate request shape (matrix responses nest three levels).
-    static constexpr int max_depth = 64;
-
-    jvalue value() {
-        if (depth_ >= max_depth) fail("nesting deeper than 64 levels");
-        ++depth_;
-        jvalue v;
-        switch (peek()) {
-            case '{': v = object(); break;
-            case '[': v = array(); break;
-            case '"': v = string_value(); break;
-            case 't': case 'f': v = boolean(); break;
-            case 'n': v = null_value(); break;
-            default: v = number(); break;
-        }
-        --depth_;
-        return v;
-    }
-
-    jvalue object() {
-        expect('{');
-        jvalue v;
-        v.kind = jvalue::obj_v;
-        if (consume('}')) return v;
-        do {
-            jvalue key = string_value();
-            expect(':');
-            v.obj.emplace_back(std::move(key.str), value());
-        } while (consume(','));
-        expect('}');
-        return v;
-    }
-
-    jvalue array() {
-        expect('[');
-        jvalue v;
-        v.kind = jvalue::arr_v;
-        if (consume(']')) return v;
-        do {
-            v.arr.push_back(value());
-        } while (consume(','));
-        expect(']');
-        return v;
-    }
-
-    jvalue string_value() {
-        expect('"');
-        jvalue v;
-        v.kind = jvalue::str_v;
-        while (true) {
-            if (p_ == end_) fail("unterminated string");
-            const char c = *p_++;
-            if (c == '"') break;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string");
-            if (c != '\\') {
-                v.str.push_back(c);
-                continue;
-            }
-            if (p_ == end_) fail("unterminated escape");
-            const char e = *p_++;
-            switch (e) {
-                case '"': v.str.push_back('"'); break;
-                case '\\': v.str.push_back('\\'); break;
-                case '/': v.str.push_back('/'); break;
-                case 'b': v.str.push_back('\b'); break;
-                case 'f': v.str.push_back('\f'); break;
-                case 'n': v.str.push_back('\n'); break;
-                case 'r': v.str.push_back('\r'); break;
-                case 't': v.str.push_back('\t'); break;
-                case 'u': v.str += unicode_escape(); break;
-                default: fail("bad escape character");
-            }
-        }
-        return v;
-    }
-
-    unsigned hex4() {
-        if (end_ - p_ < 4) fail("truncated \\u escape");
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = *p_++;
-            code <<= 4;
-            if (c >= '0' && c <= '9') code |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                code |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                code |= static_cast<unsigned>(c - 'A' + 10);
-            else fail("bad \\u escape digit");
-        }
-        return code;
-    }
-
-    std::string unicode_escape() {
-        // The encoder only emits \u00XX for control characters, but
-        // accept the full range — including surrogate pairs, which must
-        // combine into one code point (raw CESU-8 would poison every
-        // later response with invalid UTF-8).
-        unsigned code = hex4();
-        if (code >= 0xD800 && code <= 0xDBFF) {
-            if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u')
-                fail("unpaired high surrogate in \\u escape");
-            p_ += 2;
-            const unsigned low = hex4();
-            if (low < 0xDC00 || low > 0xDFFF)
-                fail("bad low surrogate in \\u escape");
-            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-        } else if (code >= 0xDC00 && code <= 0xDFFF) {
-            fail("unpaired low surrogate in \\u escape");
-        }
-        std::string out;
-        if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else if (code < 0x10000) {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-            out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        return out;
-    }
-
-    jvalue boolean() {
-        jvalue v;
-        v.kind = jvalue::bool_v;
-        if (end_ - p_ >= 4 && std::string_view(p_, 4) == "true") {
-            v.b = true;
-            p_ += 4;
-        } else if (end_ - p_ >= 5 && std::string_view(p_, 5) == "false") {
-            v.b = false;
-            p_ += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    jvalue null_value() {
-        if (end_ - p_ < 4 || std::string_view(p_, 4) != "null")
-            fail("bad literal");
-        p_ += 4;
-        jvalue v;
-        v.kind = jvalue::null_v;
-        return v;
-    }
-
-    jvalue number() {
-        const char* start = p_;
-        if (p_ != end_ && *p_ == '-') ++p_;
-        while (p_ != end_ &&
-               ((*p_ >= '0' && *p_ <= '9') || *p_ == '.' || *p_ == 'e' ||
-                *p_ == 'E' || *p_ == '+' || *p_ == '-'))
-            ++p_;
-        if (p_ == start) fail("expected a value");
-        jvalue v;
-        v.kind = jvalue::num_v;
-        const auto [dp, derr] = std::from_chars(start, p_, v.num);
-        if (derr != std::errc{} || dp != p_ || !std::isfinite(v.num))
-            fail("bad number (non-finite values are not representable)");
-        // Keep the exact value of unsigned integer literals (revision
-        // stamps, seeds, SIZE_MAX-style sentinels exceed 2^53).
-        if (*start != '-') {
-            std::uint64_t u = 0;
-            const auto [up, uerr] = std::from_chars(start, p_, u);
-            if (uerr == std::errc{} && up == p_) {
-                v.unum = u;
-                v.has_unum = true;
-            }
-        }
-        return v;
-    }
-
-    const char* p_;
-    const char* end_;
-    int depth_ = 0;
-};
-
 [[noreturn]] void bad(const std::string& why) { throw wire_error("wire: " + why); }
+
+// JSON's two-character escapes: '\' escape_letter[i] stands for escaped[i].
+constexpr std::string_view escaped = "/\"\\\b\f\n\r\t";
+constexpr std::string_view escape_letter = "/\"\\bfnrt";
 
 // --- canonical encoder ------------------------------------------------------
 
 void put_escaped(std::string& out, std::string_view s) {
     out.push_back('"');
     for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\b': out += "\\b"; break;
-            case '\f': out += "\\f"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned>(
-                                      static_cast<unsigned char>(c)));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
+        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
+            out.push_back(c);
+        } else if (const std::size_t i = escaped.find(c, 1);  // '/' stays
+                   i != std::string_view::npos) {
+            out.push_back('\\');
+            out.push_back(escape_letter[i]);
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(static_cast<unsigned char>(c)));
+            out += buf;
         }
     }
     out.push_back('"');
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-    char buf[24];
-    const auto [p, err] = std::to_chars(buf, buf + sizeof buf, v);
-    (void)err;
-    out.append(buf, p);
-}
-
-void put_double(std::string& out, double v) {
-    if (!std::isfinite(v))
-        bad("cannot encode non-finite number");
-    // Shortest representation that round-trips exactly; integral values
-    // print without an exponent or trailing ".0", matching the parser's
-    // unsigned-integer fast path.
+/// Integers in decimal; doubles in the shortest form that round-trips
+/// exactly, integral values without an exponent or trailing ".0".
+template <class N>
+void put_number(std::string& out, N v) {
     char buf[32];
-    const auto [p, err] = std::to_chars(buf, buf + sizeof buf, v);
-    (void)err;
-    out.append(buf, p);
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 /// Writes a payload's fields in description order (schema.h), inserting
@@ -324,19 +60,13 @@ class encoder {
 public:
     explicit encoder(std::string& out) : out_(out) {}
 
-    template <class T>
-    void operator()(std::string_view key, const T& m) {
+    /// Plain, omit_empty and true_unless_sent fields.
+    template <class T, class... Spelling>
+    void operator()(std::string_view key, const T& m, Spelling...) {
+        if constexpr ((std::is_same_v<Spelling, omit_empty_t> || ...))
+            if (empty_field(m)) return;
         put_key(key);
         value(m);
-    }
-
-    template <class T>
-    void operator()(std::string_view key, const T& m, omit_empty_t) {
-        if (!empty_field(m)) (*this)(key, m);
-    }
-
-    void operator()(std::string_view key, const bool& m, true_unless_sent) {
-        (*this)(key, m);
     }
 
     template <class K, std::size_t N>
@@ -361,9 +91,10 @@ public:
         } else if constexpr (std::is_same_v<T, bool>) {
             out_ += m ? "true" : "false";
         } else if constexpr (std::is_same_v<T, double>) {
-            put_double(out_, m);
+            if (!std::isfinite(m)) bad("cannot encode non-finite number");
+            put_number(out_, m);
         } else if constexpr (std::is_unsigned_v<T>) {
-            put_u64(out_, m);
+            put_number(out_, std::uint64_t{m});
         } else if constexpr (wire_list<T>) {
             out_.push_back('[');
             for (const auto& e : m) {
@@ -400,95 +131,349 @@ private:
 
 // --- decoder ----------------------------------------------------------------
 
-/// Reads one parsed JSON object into a payload by walking its description
-/// (schema.h). Tolerant of unknown and missing keys (a missing key keeps
-/// the member's default), strict about the values that are there.
-class decoder {
-public:
-    explicit decoder(const jvalue& obj) : obj_(obj) {}
+/// A scanned object's member: its key as written and its value's text. For
+/// a number, or an array of numbers only, `numbers` is where its values
+/// start in scanned_numbers; `elements` counts an array's entries.
+struct member {
+    static constexpr std::size_t npos = std::size_t(-1);
+    std::string_view key;
+    std::string_view value;
+    std::size_t elements = 0;
+    std::size_t numbers = npos;
+};
 
-    template <class T>
-    void operator()(std::string_view key, T& m) {
-        if (const jvalue* j = obj_.find(key)) read(*j, m, key, false);
+/// Per-thread scratch, cleared (capacity kept) as each decode starts: the
+/// members of the objects being decoded, innermost last, and every number
+/// the scanner has checked, in order. Checking a number means parsing it,
+/// so a weight vector is parsed once, by the scan, and filled in one copy.
+thread_local std::vector<member> member_stack;
+thread_local std::vector<double> scanned_numbers;
+
+/// Validating JSON scanner over a view of the caller's buffer (connection
+/// inbuf, bench transcript): checks syntax — RFC 8259 numbers, string
+/// escapes and surrogates, nesting depth — and reports where values end.
+class scanner {
+public:
+    explicit scanner(std::string_view text)
+        : p_(text.data()), end_(text.data() + text.size()) {}
+
+    // A hostile line gets an error envelope, not a blown stack: the cap is
+    // far above any legitimate shape (matrix responses nest three levels).
+    static constexpr int max_depth = 64;
+
+    void skip_ws() {
+        while (p_ != end_ &&
+               (*p_ == ' ' || *p_ == '\t' || *p_ == '\r' || *p_ == '\n'))
+            ++p_;
     }
 
-    template <class T>
-    void operator()(std::string_view key, T& m, omit_empty_t) {
-        const jvalue* j = obj_.find(key);
-        if (!j) return;
-        if constexpr (requires { m.present; }) m.present = true;
-        read(*j, m, key, false);
+    char peek() {
+        skip_ws();
+        if (p_ == end_) bad("unexpected end of input");
+        return *p_;
+    }
+
+    void expect(char c) {
+        if (peek() != c)
+            bad(std::string("expected '") + c + "', got '" + *p_ + "'");
+        ++p_;
+    }
+
+    bool consume(char c) {
+        skip_ws();
+        return p_ != end_ && *p_ == c && (++p_, true);
+    }
+
+    void expect_end() {
+        skip_ws();
+        if (p_ != end_) bad("trailing characters after JSON value");
+    }
+
+    /// Checks the value at the cursor, `level` deep (the line's own value
+    /// is level 1), and returns its text, filling in `m`'s counts.
+    std::string_view value(int level, member* m = nullptr) {
+        if (level > max_depth) bad("nesting deeper than 64 levels");
+        const char* start = (peek(), p_);
+        switch (*p_) {
+            case '{': object(level, false); break;
+            case '[': {
+                ++p_;
+                const std::size_t first = scanned_numbers.size();
+                std::size_t n = 0;
+                bool numeric = true;
+                if (!consume(']')) {
+                    do {
+                        numeric = numeric && (peek() == '-' || digit(*p_));
+                        value(level + 1);
+                        ++n;
+                    } while (consume(','));
+                    expect(']');
+                }
+                if (m) {
+                    m->elements = n;
+                    if (numeric) m->numbers = first;
+                }
+                break;
+            }
+            case '"': string(nullptr); break;
+            case 't': case 'f': case 'n': literal(); break;
+            default:
+                if (m) m->numbers = scanned_numbers.size();
+                number();
+                break;
+        }
+        return {start, static_cast<std::size_t>(p_ - start)};
+    }
+
+    /// Checks the object at the cursor, `level` deep; with `record`,
+    /// appends its members to member_stack in the order written.
+    void object(int level, bool record) {
+        expect('{');
+        if (consume('}')) return;
+        do {
+            member m;
+            m.key = string(nullptr);
+            expect(':');
+            m.value = value(level + 1, &m);
+            if (record) member_stack.push_back(m);
+        } while (consume(','));
+        expect('}');
+    }
+
+    /// Checks the string at the cursor and returns its body as written;
+    /// with `out`, appends the unescaped text, copying plain runs whole.
+    std::string_view string(std::string* out) {
+        expect('"');
+        const char* body = p_;
+        while (true) {
+            const char* run = p_;
+            while (p_ != end_ && *p_ != '"' && *p_ != '\\' &&
+                   static_cast<unsigned char>(*p_) >= 0x20)
+                ++p_;
+            if (out) out->append(run, p_);
+            if (p_ == end_) bad("unterminated string");
+            if (*p_ == '"') break;
+            if (*p_++ != '\\') bad("raw control character in string");
+            if (p_ == end_) bad("unterminated escape");
+            if (*p_ == 'u') {
+                ++p_;
+                unicode_escape(out);
+                continue;
+            }
+            const std::size_t i = escape_letter.find(*p_++);
+            if (i == std::string_view::npos) bad("bad escape character");
+            if (out) out->push_back(escaped[i]);
+        }
+        return {body, static_cast<std::size_t>(p_++ - body)};
+    }
+
+private:
+    void literal() {
+        const std::string_view word =
+            *p_ == 't' ? "true" : *p_ == 'f' ? "false" : "null";
+        if (static_cast<std::size_t>(end_ - p_) < word.size() ||
+            std::string_view(p_, word.size()) != word)
+            bad("bad literal");
+        p_ += word.size();
+    }
+
+    static bool digit(char c) { return c >= '0' && c <= '9'; }
+
+    /// Parses the number at the cursor onto scanned_numbers. RFC 8259
+    /// numbers only, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?:
+    /// std::from_chars alone would also take "01", ".5" and "1.".
+    void number() {
+        static constexpr const char* not_json =
+            "bad number (not an RFC 8259 JSON number)";
+        const char* const start = p_;
+        const char* const first = start + (*start == '-');
+        if (first == end_ || !digit(*first))
+            bad(first == start ? "expected a value" : not_json);
+        if (*first == '0' && first + 1 != end_ && digit(first[1]))
+            bad(not_json);
+        double v = 0.0;
+        const auto [ptr, err] = std::from_chars(start, end_, v);
+        if (err != std::errc{} || !std::isfinite(v))
+            bad("bad number (non-finite values are not representable)");
+        // from_chars may end the number on a point without digits after
+        // it, or stop before an exponent without digits.
+        const auto* dot =
+            static_cast<const char*>(std::memchr(first, '.', ptr - first));
+        if ((dot != nullptr && (dot + 1 == ptr || !digit(dot[1]))) ||
+            (ptr != end_ && (*ptr == '.' || *ptr == 'e' || *ptr == 'E' ||
+                             *ptr == '+' || *ptr == '-')))
+            bad(not_json);
+        scanned_numbers.push_back(v);
+        p_ = ptr;
+    }
+
+    void unicode_escape(std::string* out) {
+        // The full range, not just the encoder's \u00XX; a surrogate pair
+        // combines into one code point (raw CESU-8 would poison every
+        // later response with invalid UTF-8).
+        const auto hex4 = [&] {
+            unsigned code = 0;
+            const auto [ptr, err] =
+                std::from_chars(p_, end_ - p_ < 4 ? end_ : p_ + 4, code, 16);
+            if (err != std::errc{} || ptr != p_ + 4)
+                bad("bad \\u escape: four hex digits needed");
+            p_ = ptr;
+            return code;
+        };
+        unsigned code = hex4();
+        if (code >= 0xD800 && code <= 0xDBFF) {
+            if (end_ - p_ < 2 || p_[0] != '\\' || p_[1] != 'u')
+                bad("unpaired high surrogate in \\u escape");
+            p_ += 2;
+            const unsigned low = hex4();
+            if (low < 0xDC00 || low > 0xDFFF)
+                bad("bad low surrogate in \\u escape");
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+        } else if (code >= 0xDC00 && code <= 0xDFFF) {
+            bad("unpaired low surrogate in \\u escape");
+        }
+        if (!out) return;
+        // UTF-8: a lead byte, then six bits per continuation byte.
+        static constexpr unsigned lead[] = {0, 0, 0xC0, 0xE0, 0xF0};
+        const int n = code < 0x80 ? 1 : code < 0x800 ? 2 : code < 0x10000 ? 3 : 4;
+        char bytes[4];
+        for (int i = n - 1; i > 0; --i, code >>= 6)
+            bytes[i] = static_cast<char>(0x80 | (code & 0x3F));
+        bytes[0] = static_cast<char>(lead[n] | code);
+        out->append(bytes, static_cast<std::size_t>(n));
+    }
+
+    const char* p_;
+    const char* end_;
+};
+
+/// A string's text: its body as written when it holds no escape, else
+/// the unescaped copy in `buf`.
+std::string_view unescaped(std::string_view body, std::string& buf) {
+    if (body.find('\\') == std::string_view::npos) return body;
+    buf.clear();
+    scanner(std::string_view(body.data() - 1, body.size() + 2)).string(&buf);
+    return buf;
+}
+
+/// Reads one scanned object into a payload by walking its description
+/// (schema.h). Any key order is accepted; unknown keys are skipped (the
+/// scan has validated them) and of duplicate keys the first wins. A
+/// missing key keeps the member's default; the values there are strict.
+class decoder {
+public:
+    /// Scans the object at the cursor. A nested object is scanned again
+    /// when read, as level 1: the line's own scan has checked its depth.
+    explicit decoder(scanner& s) : begin_(member_stack.size()) {
+        s.object(1, true);
+        end_ = member_stack.size();
+    }
+    ~decoder() { member_stack.resize(begin_); }
+    decoder(const decoder&) = delete;
+    decoder& operator=(const decoder&) = delete;
+
+    /// Plain and omit_empty fields alike; a decoded section is present.
+    template <class T, class... Spelling>
+    void operator()(std::string_view key, T& m, Spelling...) {
+        if (const auto j = find(key)) {
+            if constexpr (requires { m.present; }) m.present = true;
+            read(*j, m, key, false);
+        }
     }
 
     void operator()(std::string_view key, bool& m, true_unless_sent t) {
-        m = obj_.find(t.key) == nullptr;
+        m = !find(t.key);
         (*this)(key, m);
     }
 
     template <class K, std::size_t N>
     void operator()(std::string_view key, K& m, const kind_names<N>& kinds) {
-        const jvalue* j = obj_.find(key);
-        if (!j) {
-            // A message without its kind cannot be read; an enum kind
-            // keeps its default.
-            if constexpr (!std::is_enum_v<K>)
-                bad("missing field \"" + std::string(key) + "\"");
-            return;
-        }
-        expect(j->kind == jvalue::str_v, key, false, "a string", "");
+        const auto j = find(key);  // a variant kind must be sent
+        if (!j && !std::is_enum_v<K>)
+            bad("missing field \"" + std::string(key) + "\"");
+        if (!j) return;
+        std::string name;
+        read(*j, name, key, false);
         for (std::size_t i = 0; i < N; ++i)
-            if (kinds.names[i] == j->str) return set_kind(m, i);
-        bad("unknown " + std::string(kinds.noun) + " kind \"" + j->str +
-            "\"");
+            if (kinds.names[i] == name) return set_kind(m, i);
+        bad("unknown " + std::string(kinds.noun) + " kind \"" + name + "\"");
     }
 
     template <class F>
     void group(std::string_view key, F&& list) {
-        if (const jvalue* j = obj_.find(key)) {
-            expect(j->kind == jvalue::obj_v, key, false, "an object", "");
-            decoder inner(*j);
-            list(inner);
-        }
-    }
-
-    /// `element`: j is an entry of the list under `key`.
-    template <class T>
-    static void read(const jvalue& j, T& m, std::string_view key,
-                     bool element) {
-        if constexpr (std::is_same_v<T, std::string>) {
-            expect(j.kind == jvalue::str_v, key, element, "a string",
-                   "strings");
-            m = j.str;
-        } else if constexpr (std::is_same_v<T, bool>) {
-            expect(j.kind == jvalue::bool_v, key, element, "a boolean",
-                   "booleans");
-            m = j.b;
-        } else if constexpr (std::is_same_v<T, double>) {
-            expect(j.kind == jvalue::num_v, key, element, "a number",
-                   "numbers");
-            m = j.num;
-        } else if constexpr (std::is_unsigned_v<T>) {
-            expect(j.kind == jvalue::num_v && j.has_unum, key, element,
-                   "an unsigned integer", "unsigned integers");
-            // Narrowing members (unsigned thread counts) refuse what
-            // they cannot hold instead of wrapping.
-            if (j.unum > std::numeric_limits<T>::max())
-                bad("field \"" + std::string(key) + "\" is out of range");
-            m = static_cast<T>(j.unum);
-        } else if constexpr (wire_list<T>) {
-            expect(j.kind == jvalue::arr_v, key, element, "an array",
-                   "arrays");
-            m.reserve(j.arr.size());
-            for (const jvalue& e : j.arr) read(e, m.emplace_back(), key, true);
-        } else {
-            expect(j.kind == jvalue::obj_v, key, element, "an object",
-                   "objects");
-            decoder inner(j);
-            fields(m, inner);
-        }
+        if (const auto j = find(key)) read_object(*j, key, false, list);
     }
 
 private:
+    /// The first member named `key`, by value (reads grow the stack).
+    std::optional<member> find(std::string_view key) const {
+        std::string buf;
+        for (std::size_t i = begin_; i < end_; ++i)
+            if (unescaped(member_stack[i].key, buf) == key)
+                return member_stack[i];
+        return std::nullopt;
+    }
+
+    /// Reads a scanned value into `m` (`element`: an entry of `key`'s list).
+    template <class T>
+    static void read(const member& j, T& m, std::string_view key,
+                     bool element) {
+        const char c = j.value[0];
+        if constexpr (std::is_same_v<T, std::string>) {
+            expect(c == '"', key, element, "a string", "strings");
+            m.clear();
+            scanner(j.value).string(&m);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            expect(c == 't' || c == 'f', key, element, "a boolean",
+                   "booleans");
+            m = c == 't';
+        } else if constexpr (std::is_same_v<T, double>) {
+            expect(c == '-' || (c >= '0' && c <= '9'), key, element,
+                   "a number", "numbers");
+            m = scanned_numbers[j.numbers];
+        } else if constexpr (std::is_unsigned_v<T>) {
+            // Integer literals only, exact to 64 bits; narrowing members
+            // refuse what they cannot hold instead of wrapping.
+            const char* end = j.value.data() + j.value.size();
+            std::uint64_t u = 0;
+            const auto [ptr, err] = std::from_chars(j.value.data(), end, u);
+            expect(err == std::errc{} && ptr == end, key, element,
+                   "an unsigned integer", "unsigned integers");
+            if (u > std::numeric_limits<T>::max())
+                bad("field \"" + std::string(key) + "\" is out of range");
+            m = static_cast<T>(u);
+        } else if constexpr (wire_list<T>) {
+            expect(c == '[', key, element, "an array", "arrays");
+            if constexpr (std::is_same_v<T, weight_vector>) {
+                const double* parsed = scanned_numbers.data();
+                if (j.numbers != member::npos)  // all parsed by the scan
+                    return m.assign(parsed + j.numbers,
+                                    parsed + j.numbers + j.elements);
+            }
+            m.reserve(j.elements);
+            scanner s(j.value);
+            s.expect('[');
+            if (s.consume(']')) return;
+            do {
+                member e;
+                e.value = s.value(1, &e);
+                read(e, m.emplace_back(), key, true);
+            } while (s.consume(','));
+        } else {
+            read_object(j, key, element,
+                        [&](decoder& inner) { fields(m, inner); });
+        }
+    }
+
+    template <class F>
+    static void read_object(const member& j, std::string_view key,
+                            bool element, F&& list) {
+        expect(j.value[0] == '{', key, element, "an object", "objects");
+        scanner s(j.value);
+        decoder inner(s);
+        list(inner);
+    }
+
     static void expect(bool ok, std::string_view key, bool element,
                        const char* one, const char* many) {
         if (!ok)
@@ -497,18 +482,20 @@ private:
                 (element ? many : one));
     }
 
-    const jvalue& obj_;
+    std::size_t begin_;
+    std::size_t end_;
 };
 
-template <class T>
-T decode_object(std::string_view line, const char* what) {
-    const jvalue o = parser(line).parse();
-    if (o.kind != jvalue::obj_v)
-        bad(std::string(what) + " must be a JSON object");
-    T m;
-    decoder d(o);
-    fields(m, d);
-    return m;
+/// Hands `read` the decoder of the one JSON object `line` must hold.
+template <class F>
+void decode_line(std::string_view line, const char* what, F&& read) {
+    member_stack.clear();
+    scanned_numbers.clear();
+    scanner s(line);
+    if (s.peek() != '{') bad(std::string(what) + " must be a JSON object");
+    decoder d(s);
+    s.expect_end();
+    read(d);
 }
 
 }  // namespace
@@ -536,22 +523,22 @@ void encode_into(const response& r, std::string& out) {
 }
 
 request decode_request(std::string_view line) {
-    return decode_object<request>(line, "request");
+    request q;
+    decode_line(line, "request", [&](decoder& d) { fields(q, d); });
+    return q;
 }
 
 response decode_response(std::string_view line) {
-    return decode_object<response>(line, "response");
+    response r;
+    decode_line(line, "response", [&](decoder& d) { fields(r, d); });
+    return r;
 }
 
 std::uint64_t extract_id(std::string_view line) {
     try {
-        const jvalue o = parser(line).parse();
-        if (o.kind == jvalue::obj_v) {
-            std::uint64_t id = 0;
-            decoder d(o);
-            d("id", id);
-            return id;
-        }
+        std::uint64_t id = 0;
+        decode_line(line, "line", [&](decoder& d) { d("id", id); });
+        return id;
     } catch (const wire_error&) {
         // Malformed line: fall through to the text scan below.
     }

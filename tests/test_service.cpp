@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "exec/engine_pool.h"
 #include "gen/comparator.h"
 #include "io/bench_io.h"
+#include "svc/schema.h"
 #include "svc/wire.h"
 #include "util/rng.h"
 
@@ -498,6 +500,30 @@ TEST(wire, rejects_malformed_and_non_finite_input) {
     EXPECT_THROW(
         decode_request(R"({"req":"test_length","id":1,"weights":[1e999]})"),
         wire_error);
+    // Only RFC 8259 numbers, wherever they stand: std::from_chars alone
+    // would take a leading zero, a bare point or a point without digits.
+    for (const char* number :
+         {"01", "-01", "00", ".95", "-.5", "1.", "1.e5", "-", "+1", "1e",
+          "1e+", "1.5.2", "0x10", "1e5e5", "1-2"}) {
+        const std::string tail = std::string(number) + "}";
+        EXPECT_THROW(decode_request(R"({"req":"test_length","id":)" + tail),
+                     wire_error)
+            << number;
+        EXPECT_THROW(
+            decode_request(R"({"req":"test_length","confidence":)" + tail),
+            wire_error)
+            << number;
+        EXPECT_THROW(decode_request(R"({"req":"stats","x":[)" +
+                                    std::string(number) + "]}"),
+                     wire_error)
+            << number;
+    }
+    for (const char* number : {"0", "-0", "0.5", "1e5", "1E+5", "2.5e-3",
+                               "-0.0e-0", "123"}) {
+        const std::string line =
+            R"({"req":"stats","id":1,"x":)" + std::string(number) + "}";
+        EXPECT_EQ(decode_request(line).id, 1u) << number;
+    }
     // Narrowing integers are range-checked, not truncated: 2^32 + 1
     // threads must not decode as 1.
     EXPECT_THROW(
@@ -1098,6 +1124,159 @@ TEST(service, cache_accounting_balances_even_when_jobs_fail) {
     EXPECT_EQ(st.cache_probes, 4u);
     EXPECT_EQ(st.cache_hits, 1u);
     EXPECT_EQ(st.cache_misses, 3u);
+}
+
+// --- cache-key exactness ----------------------------------------------------
+
+/// The canonical wire encoding of a job after the cache's normalizations:
+/// handle and registry name dropped, empty weights written as the explicit
+/// uniform vector, thread counts at 1. Two jobs must share a cache entry
+/// exactly when these are equal.
+template <class P>
+std::string normalized_encoding(P p, std::size_t inputs) {
+    p.circuit = 0;
+    p.name.clear();
+    if (p.weights.empty()) p.weights.assign(inputs, 0.5);
+    if constexpr (requires { p.threads; }) p.threads = 1;
+    if constexpr (requires { p.options.threads; }) p.options.threads = 1;
+    request q;
+    q.payload = std::move(p);
+    return encode(q);
+}
+
+/// Moves the `target`-th field of optimize_options by the smallest step
+/// its type has: one ulp for a double, one unit for an integer, a flip
+/// for a bool.
+struct bump_field {
+    std::size_t target;
+    std::size_t index = 0;
+
+    template <class T>
+    void operator()(std::string_view, T& m) {
+        if (index++ != target) return;
+        if constexpr (std::is_same_v<T, bool>) m = !m;
+        else if constexpr (std::is_same_v<T, double>) m = std::nextafter(m, 1.0);
+        else m += 1;
+    }
+};
+
+TEST(service, cache_keys_hit_exactly_when_normalized_encodings_match) {
+    service s;
+    request reg;
+    register_circuit_request rp;
+    rp.tenant = "t";
+    rp.name = "wide";
+    rp.bench = write_bench_string(make_cascaded_comparator(8, "wide"));
+    reg.payload = rp;
+    const response rr = s.handle(reg);
+    ASSERT_TRUE(rr.ok);
+    const auto& info = std::get<register_circuit_response>(rr.payload);
+    const std::size_t handle = info.circuit;
+    const std::size_t inputs = info.inputs;
+    ASSERT_EQ(inputs, 64u);
+
+    std::set<std::string> seen;
+    std::size_t submitted = 0;
+    const auto submit = [&](const auto& p, const std::string& what) {
+        const std::string key = normalized_encoding(p, inputs);
+        request q;
+        q.payload = p;
+        const response r = s.handle(q);
+        ASSERT_TRUE(r.ok) << what << ": "
+                          << std::get<error_response>(r.payload).message;
+        const bool cached = std::visit(
+            [](const auto& x) {
+                if constexpr (requires { x.cached; }) return x.cached;
+                else return false;
+            },
+            r.payload);
+        EXPECT_EQ(cached, seen.count(key) == 1) << what;
+        seen.insert(key);
+        ++submitted;
+    };
+
+    // A registered circuit compiles on its first named job.
+    test_length_request uniform;
+    uniform.name = "t/wide";
+    submit(uniform, "empty weights");
+    uniform.name.clear();
+    uniform.circuit = handle;
+    uniform.weights.assign(inputs, 0.5);
+    submit(uniform, "the explicit uniform vector");
+
+    rng r(0xcafe);
+    const auto random_weights = [&] {
+        weight_vector w(inputs);
+        for (double& x : w)
+            x = static_cast<double>(r.next_word() >> 11) * 0x1p-53;
+        return w;
+    };
+    for (int trial = 0; trial < 4; ++trial) {
+        test_length_request t;
+        t.circuit = handle;
+        t.weights = random_weights();
+        t.confidence = 0.99;
+        submit(t, "a fresh vector");
+        submit(t, "the same job again");
+        const std::size_t i = r.next_word() % inputs;
+        auto up = t;
+        up.weights[i] = std::nextafter(t.weights[i], 1.0);
+        submit(up, "one weight one ulp up");
+        auto down = t;
+        down.weights[i] = std::nextafter(t.weights[i], 0.0);
+        submit(down, "one weight one ulp down");
+        auto zero = t;
+        zero.weights[i] = 0.0;
+        submit(zero, "a zero weight");
+        zero.weights[i] = -0.0;
+        submit(zero, "the same weight as -0");
+        auto conf = t;
+        conf.confidence = std::nextafter(t.confidence, 1.0);
+        submit(conf, "confidence one ulp up");
+        auto threads = t;
+        threads.threads = 8;
+        submit(threads, "8 threads");
+        auto named = t;
+        named.circuit = 0;
+        named.name = "t/wide";
+        submit(named, "the named spelling");
+    }
+
+    fault_sim_request f;
+    f.circuit = handle;
+    f.weights = random_weights();
+    f.patterns = 64;
+    f.seed = 3;
+    submit(f, "a fault_sim job");
+    auto g = f;
+    ++g.patterns;
+    submit(g, "one more pattern");
+    g = f;
+    ++g.seed;
+    submit(g, "the next seed");
+    submit(f, "the fault_sim job again");
+
+    optimize_request o;
+    o.circuit = handle;
+    o.weights = random_weights();
+    o.options.max_sweeps = 1;
+    submit(o, "an optimize job");
+    bump_field count{std::size_t(-1)};
+    fields(o.options, count);
+    ASSERT_EQ(count.index, 13u);  // every optimize_options field
+    for (std::size_t k = 0; k < count.index; ++k) {
+        auto p = o;
+        bump_field bump{k};
+        fields(p.options, bump);
+        submit(p, "optimize option " + std::to_string(k) + " bumped");
+    }
+
+    request sq;
+    sq.payload = stats_request{};
+    const auto& st = std::get<stats_response>(s.handle(sq).payload);
+    EXPECT_EQ(st.cache_probes, submitted);
+    EXPECT_EQ(st.cache_entries, seen.size());
+    EXPECT_EQ(st.cache_hits, submitted - seen.size());
 }
 
 TEST(service, orphaned_buckets_count_each_evicted_entry_exactly_once) {
