@@ -385,11 +385,10 @@ std::string service::validate(job_ref j) const {
 
 namespace {
 
-/// Appends a job's cache fingerprint by walking its field list: numbers
-/// as 8 bytes (doubles by bit pattern), strings and weight vectors behind
-/// their length, so equal keys mean equal jobs. Left out: the level-1 handle,
-/// the registry name (resolved to it first) and the thread counts (results
-/// are thread-invariant). Empty weights are written as the uniform vector.
+/// Appends a job's cache fingerprint by walking its field list: numbers as
+/// 8 bytes (doubles by bit pattern), strings and weight vectors behind their
+/// length. Left out: the level-1 handle, the registry name (resolved to it
+/// first) and the thread counts (results are thread-invariant).
 struct key_writer {
     std::string& out;
     const netlist& circuit;
@@ -402,15 +401,15 @@ struct key_writer {
         } else if constexpr (std::is_unsigned_v<T>) {
             const std::uint64_t v = m;
             out.append(reinterpret_cast<const char*>(&v), sizeof v);
-        } else if constexpr (std::is_same_v<T, std::string> ||
-                             std::is_same_v<T, weight_vector>) {
-            if constexpr (std::is_same_v<T, weight_vector>) {
-                if (m.empty() && circuit.input_count() != 0)
-                    return (*this)(key, uniform_weights(circuit));
-            }
+        } else if constexpr (std::is_same_v<T, weight_vector>) {
+            if (m.empty() && circuit.input_count() != 0)  // uniform shorthand
+                return (*this)(key, uniform_weights(circuit));
             (*this)(key, m.size());
             out.append(reinterpret_cast<const char*>(m.data()),
-                       m.size() * sizeof m[0]);
+                       m.size() * sizeof(double));
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            (*this)(key, m.size());
+            out.append(m);
         } else {
             fields(m, *this);  // optimize_options
         }
@@ -648,7 +647,8 @@ response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
     std::vector<job_ref> refs;
     refs.reserve(jobs.size());
     for (const job_request& j : jobs)
-        refs.push_back(std::visit([](const auto& q) { return job_ref{&q}; }, j));
+        refs.push_back(
+            std::visit([](const auto& q) { return job_ref{&q}; }, j));
     response r;
     r.id = id;
     matrix_response m;

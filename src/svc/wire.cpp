@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -35,18 +33,15 @@ void put_escaped(std::string& out, std::string_view s) {
                    i != std::string_view::npos) {
             out.push_back('\\');
             out.push_back(escape_letter[i]);
-        } else {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            out += buf;
+        } else {  // another control character
+            static constexpr char hex[] = "0123456789abcdef";
+            out.append("\\u00").append(1, hex[c >> 4]).append(1, hex[c & 15]);
         }
     }
     out.push_back('"');
 }
 
-/// Integers in decimal; doubles in the shortest form that round-trips
-/// exactly, integral values without an exponent or trailing ".0".
+/// Integers in decimal, doubles in the shortest form that round-trips.
 template <class N>
 void put_number(std::string& out, N v) {
     char buf[32];
@@ -203,16 +198,20 @@ public:
                 bool numeric = true;
                 if (!consume(']')) {
                     do {
-                        numeric = numeric && (peek() == '-' || digit(*p_));
-                        value(level + 1);
+                        // Numbers, the common entry, skip the dispatch.
+                        const char c = peek();
+                        if ((c == '-' || digit(c)) && level < max_depth) {
+                            number();
+                        } else {
+                            numeric = false;
+                            value(level + 1);
+                        }
                         ++n;
                     } while (consume(','));
                     expect(']');
                 }
-                if (m) {
-                    m->elements = n;
-                    if (numeric) m->numbers = first;
-                }
+                if (m) m->elements = n;
+                if (m && numeric) m->numbers = first;
                 break;
             }
             case '"': string(nullptr); break;
@@ -293,13 +292,13 @@ private:
             bad(not_json);
         double v = 0.0;
         const auto [ptr, err] = std::from_chars(start, end_, v);
-        if (err != std::errc{} || !std::isfinite(v))
+        if (err != std::errc{})
             bad("bad number (non-finite values are not representable)");
         // from_chars may end the number on a point without digits after
         // it, or stop before an exponent without digits.
-        const auto* dot =
-            static_cast<const char*>(std::memchr(first, '.', ptr - first));
-        if ((dot != nullptr && (dot + 1 == ptr || !digit(dot[1]))) ||
+        const char* dot = first;
+        while (dot != ptr && digit(*dot)) ++dot;
+        if ((dot != ptr && *dot == '.' && (dot + 1 == ptr || !digit(dot[1]))) ||
             (ptr != end_ && (*ptr == '.' || *ptr == 'e' || *ptr == 'E' ||
                              *ptr == '+' || *ptr == '-')))
             bad(not_json);
@@ -335,7 +334,8 @@ private:
         if (!out) return;
         // UTF-8: a lead byte, then six bits per continuation byte.
         static constexpr unsigned lead[] = {0, 0, 0xC0, 0xE0, 0xF0};
-        const int n = code < 0x80 ? 1 : code < 0x800 ? 2 : code < 0x10000 ? 3 : 4;
+        const int n =
+            code < 0x80 ? 1 : code < 0x800 ? 2 : code < 0x10000 ? 3 : 4;
         char bytes[4];
         for (int i = n - 1; i > 0; --i, code >>= 6)
             bytes[i] = static_cast<char>(0x80 | (code & 0x3F));
@@ -432,8 +432,7 @@ private:
                    "a number", "numbers");
             m = scanned_numbers[j.numbers];
         } else if constexpr (std::is_unsigned_v<T>) {
-            // Integer literals only, exact to 64 bits; narrowing members
-            // refuse what they cannot hold instead of wrapping.
+            // Integer literals only, exact to 64 bits and range-checked.
             const char* end = j.value.data() + j.value.size();
             std::uint64_t u = 0;
             const auto [ptr, err] = std::from_chars(j.value.data(), end, u);
@@ -548,9 +547,8 @@ std::uint64_t extract_id(std::string_view line) {
     const std::size_t pos = line.find(needle);
     if (pos == std::string_view::npos) return 0;
     std::uint64_t id = 0;
-    const auto [p, err] = std::from_chars(
-        line.data() + pos + needle.size(), line.data() + line.size(), id);
-    (void)p;
+    const std::errc err = std::from_chars(line.data() + pos + needle.size(),
+                                          line.data() + line.size(), id).ec;
     return err == std::errc{} ? id : 0;
 }
 

@@ -1154,9 +1154,12 @@ struct bump_field {
     template <class T>
     void operator()(std::string_view, T& m) {
         if (index++ != target) return;
-        if constexpr (std::is_same_v<T, bool>) m = !m;
-        else if constexpr (std::is_same_v<T, double>) m = std::nextafter(m, 1.0);
-        else m += 1;
+        if constexpr (std::is_same_v<T, bool>)
+            m = !m;
+        else if constexpr (std::is_same_v<T, double>)
+            m = std::nextafter(m, 1.0);
+        else
+            m += 1;
     }
 };
 
