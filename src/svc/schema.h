@@ -4,8 +4,8 @@
 // order, with the field's JSON key, the member it carries and, where it
 // differs from the default, how it is spelled. Everything that handles
 // wire fields walks this list and nothing else: the JSON-lines encoder and
-// decoder (wire.cpp) and the fuzz generators (tests/test_wire_fuzz.cpp).
-// A new field is one line here.
+// decoder (wire.cpp), the result cache's binary key (service.cpp) and the
+// fuzz generators (tests/test_wire_fuzz.cpp). A new field is one line here.
 //
 // A visitor provides:
 //

@@ -637,6 +637,28 @@ response service::to_response(std::uint64_t id,
     return out;
 }
 
+namespace {
+
+/// A job by reference (a job_ref), and a job_request copy of one.
+template <class... P>
+std::variant<const P*...> ref_of(const std::variant<P...>& j) {
+    return std::visit(
+        [](const auto& p) { return std::variant<const P*...>{&p}; }, j);
+}
+template <class... P>
+std::variant<P...> copy_of(const std::variant<const P*...>& j) {
+    return std::visit([](const auto* p) { return std::variant<P...>{*p}; },
+                      j);
+}
+
+template <class... P>
+const std::string& job_name(const std::variant<const P*...>& j) {
+    return std::visit(
+        [](const auto* p) -> const std::string& { return p->name; }, j);
+}
+
+}  // namespace
+
 response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
     // Expansion reads the circuit table (an empty circuit list means
     // "every registered circuit"), so it must sit under the same shared
@@ -646,9 +668,7 @@ response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
     const std::vector<job_request> jobs = session_->expand_matrix(p);
     std::vector<job_ref> refs;
     refs.reserve(jobs.size());
-    for (const job_request& j : jobs)
-        refs.push_back(
-            std::visit([](const auto& q) { return job_ref{&q}; }, j));
+    for (const job_request& j : jobs) refs.push_back(ref_of(j));
     response r;
     r.id = id;
     matrix_response m;
@@ -656,16 +676,6 @@ response service::handle_matrix(std::uint64_t id, const matrix_request& p) {
     r.payload = std::move(m);
     return r;
 }
-
-namespace {
-
-template <class... P>
-const std::string& job_name(const std::variant<const P*...>& j) {
-    return std::visit(
-        [](const auto* p) -> const std::string& { return p->name; }, j);
-}
-
-}  // namespace
 
 std::vector<response> service::run_jobs(std::uint64_t id,
                                         std::span<const job_ref> jobs) {
@@ -718,14 +728,13 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
         job_ref j = jobs[i];
         job_request named;  // a named job's copy, rewritten to its handle
         if (!job_name(j).empty()) {
-            named = std::visit([](const auto* p) { return job_request{*p}; },
-                               j);
+            named = copy_of(j);
             std::string code;
             if (std::string msg = resolve_named(named, &code); !msg.empty()) {
                 out[i] = make_error(id, msg, code);
                 continue;
             }
-            j = std::visit([](const auto& p) { return job_ref{&p}; }, named);
+            j = ref_of(named);
         }
         if (std::string msg = validate(j); !msg.empty()) {
             out[i] = make_error(id, msg);
@@ -742,8 +751,7 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
             std::make_pair(keys[i].circuit, keys[i].fingerprint),
             to_run.size());
         if (fresh) {
-            to_run.push_back(
-                std::visit([](const auto* p) { return job_request{*p}; }, j));
+            to_run.push_back(copy_of(j));
             owners.push_back({i});
         } else {
             owners[slot->second].push_back(i);
@@ -773,10 +781,7 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
         std::vector<std::uint64_t> costs(to_run.size());
         for (std::size_t k = 0; k < to_run.size(); ++k)
             if (computed[k])
-                costs[k] = entry_cost(
-                    std::visit([](const auto& p) { return job_ref{&p}; },
-                               to_run[k]),
-                    results[k]);
+                costs[k] = entry_cost(ref_of(to_run[k]), results[k]);
         lock_guard cache_lock(cache_mutex_);
         for (std::size_t k = 0; k < to_run.size(); ++k) {
             if (!computed[k]) {

@@ -1,5 +1,6 @@
 #include "svc/wire.h"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -18,27 +19,34 @@ namespace {
 
 [[noreturn]] void bad(const std::string& why) { throw wire_error("wire: " + why); }
 
-// JSON's two-character escapes: '\' escape_letter[i] stands for escaped[i].
-constexpr std::string_view escaped = "/\"\\\b\f\n\r\t";
-constexpr std::string_view escape_letter = "/\"\\bfnrt";
+// JSON escapes. To encode: the letter after '\' for each control
+// character, 'u' where it is written \u00XX. To decode: the character
+// each letter stands for, 0 for a letter that is no escape.
+constexpr char control_escape[] = "uuuuuuuubtnufruuuuuuuuuuuuuuuuuu";
+constexpr auto escape_char = [] {
+    std::array<char, 128> t{};
+    for (int c = 0; c < 0x20; ++c)
+        if (const char e = control_escape[c]; e != 'u')
+            t[static_cast<unsigned char>(e)] = static_cast<char>(c);
+    for (const char c : {'"', '\\', '/'}) t[static_cast<unsigned char>(c)] = c;
+    return t;
+}();
 
 // --- canonical encoder ------------------------------------------------------
 
 void put_escaped(std::string& out, std::string_view s) {
+    static constexpr char hex[] = "0123456789abcdef";
     out.push_back('"');
-    for (const char c : s) {
-        if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) {
-            out.push_back(c);
-        } else if (const std::size_t i = escaped.find(c, 1);  // '/' stays
-                   i != std::string_view::npos) {
-            out.push_back('\\');
-            out.push_back(escape_letter[i]);
-        } else {  // another control character
-            static constexpr char hex[] = "0123456789abcdef";
-            out.append("\\u00").append(1, hex[c >> 4]).append(1, hex[c & 15]);
-        }
+    const char* run = s.data();  // not yet written, needs no escape
+    for (const char& ch : s) {
+        const auto c = static_cast<unsigned char>(ch);
+        if (c != '"' && c != '\\' && c >= 0x20) continue;
+        const char letter = c < 0x20 ? control_escape[c] : ch;
+        out.append(run, &ch).append({'\\', letter});
+        if (letter == 'u') out.append({'0', '0', hex[c >> 4], hex[c & 15]});
+        run = &ch + 1;
     }
-    out.push_back('"');
+    out.append(run, s.data() + s.size()).push_back('"');
 }
 
 /// Integers in decimal, doubles in the shortest form that round-trips.
@@ -126,23 +134,28 @@ private:
 
 // --- decoder ----------------------------------------------------------------
 
-/// A scanned object's member: its key as written and its value's text. For
-/// a number, or an array of numbers only, `numbers` is where its values
-/// start in scanned_numbers; `elements` counts an array's entries.
+/// Per-thread scratch, cleared (capacity kept) as each decode starts:
+/// every number and the unescaped text of every string the scanner has
+/// checked, in order. Checking a value means parsing it, so the scan keeps
+/// what it parsed and a member is filled in one copy.
+thread_local std::vector<double> scanned_numbers;
+thread_local std::string scanned_text;
+
+/// A scanned object's member: its key (in scanned_text) and its value's
+/// text as written. `at` is where a string value's text starts in
+/// scanned_text, or where the values of a number or an array of numbers
+/// only start in scanned_numbers; `size` counts a string's bytes or an
+/// array's entries.
 struct member {
     static constexpr std::size_t npos = std::size_t(-1);
-    std::string_view key;
+    std::size_t key_at = 0, key_size = 0;
     std::string_view value;
-    std::size_t elements = 0;
-    std::size_t numbers = npos;
+    std::size_t at = npos, size = 0;
 };
 
-/// Per-thread scratch, cleared (capacity kept) as each decode starts: the
-/// members of the objects being decoded, innermost last, and every number
-/// the scanner has checked, in order. Checking a number means parsing it,
-/// so a weight vector is parsed once, by the scan, and filled in one copy.
+/// The members of the objects being decoded, innermost last; per thread,
+/// like the buffers above.
 thread_local std::vector<member> member_stack;
-thread_local std::vector<double> scanned_numbers;
 
 /// Validating JSON scanner over a view of the caller's buffer (connection
 /// inbuf, bench transcript): checks syntax — RFC 8259 numbers, string
@@ -210,14 +223,22 @@ public:
                     } while (consume(','));
                     expect(']');
                 }
-                if (m) m->elements = n;
-                if (m && numeric) m->numbers = first;
+                if (m) m->size = n;
+                if (m && numeric) m->at = first;
                 break;
             }
-            case '"': string(nullptr); break;
+            case '"': {
+                const std::size_t at = scanned_text.size();
+                string();
+                if (m) {
+                    m->at = at;
+                    m->size = scanned_text.size() - at;
+                }
+                break;
+            }
             case 't': case 'f': case 'n': literal(); break;
             default:
-                if (m) m->numbers = scanned_numbers.size();
+                if (m) m->at = scanned_numbers.size();
                 number();
                 break;
         }
@@ -231,7 +252,9 @@ public:
         if (consume('}')) return;
         do {
             member m;
-            m.key = string(nullptr);
+            m.key_at = scanned_text.size();
+            string();
+            m.key_size = scanned_text.size() - m.key_at;
             expect(':');
             m.value = value(level + 1, &m);
             if (record) member_stack.push_back(m);
@@ -239,31 +262,30 @@ public:
         expect('}');
     }
 
-    /// Checks the string at the cursor and returns its body as written;
-    /// with `out`, appends the unescaped text, copying plain runs whole.
-    std::string_view string(std::string* out) {
+    /// Checks the string at the cursor and appends its unescaped text to
+    /// scanned_text, copying plain runs whole.
+    void string() {
         expect('"');
-        const char* body = p_;
         while (true) {
             const char* run = p_;
             while (p_ != end_ && *p_ != '"' && *p_ != '\\' &&
                    static_cast<unsigned char>(*p_) >= 0x20)
                 ++p_;
-            if (out) out->append(run, p_);
+            scanned_text.append(run, p_);
             if (p_ == end_) bad("unterminated string");
-            if (*p_ == '"') break;
-            if (*p_++ != '\\') bad("raw control character in string");
+            if (*p_++ == '"') return;
+            if (p_[-1] != '\\') bad("raw control character in string");
             if (p_ == end_) bad("unterminated escape");
             if (*p_ == 'u') {
                 ++p_;
-                unicode_escape(out);
+                unicode_escape();
                 continue;
             }
-            const std::size_t i = escape_letter.find(*p_++);
-            if (i == std::string_view::npos) bad("bad escape character");
-            if (out) out->push_back(escaped[i]);
+            const auto e = static_cast<unsigned char>(*p_++);
+            if (e >= escape_char.size() || escape_char[e] == 0)
+                bad("bad escape character");
+            scanned_text.push_back(escape_char[e]);
         }
-        return {body, static_cast<std::size_t>(p_++ - body)};
     }
 
 private:
@@ -306,7 +328,7 @@ private:
         p_ = ptr;
     }
 
-    void unicode_escape(std::string* out) {
+    void unicode_escape() {
         // The full range, not just the encoder's \u00XX; a surrogate pair
         // combines into one code point (raw CESU-8 would poison every
         // later response with invalid UTF-8).
@@ -331,7 +353,6 @@ private:
         } else if (code >= 0xDC00 && code <= 0xDFFF) {
             bad("unpaired low surrogate in \\u escape");
         }
-        if (!out) return;
         // UTF-8: a lead byte, then six bits per continuation byte.
         static constexpr unsigned lead[] = {0, 0, 0xC0, 0xE0, 0xF0};
         const int n =
@@ -340,21 +361,12 @@ private:
         for (int i = n - 1; i > 0; --i, code >>= 6)
             bytes[i] = static_cast<char>(0x80 | (code & 0x3F));
         bytes[0] = static_cast<char>(lead[n] | code);
-        out->append(bytes, static_cast<std::size_t>(n));
+        scanned_text.append(bytes, static_cast<std::size_t>(n));
     }
 
     const char* p_;
     const char* end_;
 };
-
-/// A string's text: its body as written when it holds no escape, else
-/// the unescaped copy in `buf`.
-std::string_view unescaped(std::string_view body, std::string& buf) {
-    if (body.find('\\') == std::string_view::npos) return body;
-    buf.clear();
-    scanner(std::string_view(body.data() - 1, body.size() + 2)).string(&buf);
-    return buf;
-}
 
 /// Reads one scanned object into a payload by walking its description
 /// (schema.h). Any key order is accepted; unknown keys are skipped (the
@@ -407,10 +419,12 @@ public:
 private:
     /// The first member named `key`, by value (reads grow the stack).
     std::optional<member> find(std::string_view key) const {
-        std::string buf;
-        for (std::size_t i = begin_; i < end_; ++i)
-            if (unescaped(member_stack[i].key, buf) == key)
-                return member_stack[i];
+        for (std::size_t i = begin_; i < end_; ++i) {
+            const member& m = member_stack[i];
+            if (std::string_view(scanned_text).substr(m.key_at, m.key_size) ==
+                key)
+                return m;
+        }
         return std::nullopt;
     }
 
@@ -421,8 +435,7 @@ private:
         const char c = j.value[0];
         if constexpr (std::is_same_v<T, std::string>) {
             expect(c == '"', key, element, "a string", "strings");
-            m.clear();
-            scanner(j.value).string(&m);
+            m.assign(scanned_text, j.at, j.size);
         } else if constexpr (std::is_same_v<T, bool>) {
             expect(c == 't' || c == 'f', key, element, "a boolean",
                    "booleans");
@@ -430,7 +443,7 @@ private:
         } else if constexpr (std::is_same_v<T, double>) {
             expect(c == '-' || (c >= '0' && c <= '9'), key, element,
                    "a number", "numbers");
-            m = scanned_numbers[j.numbers];
+            m = scanned_numbers[j.at];
         } else if constexpr (std::is_unsigned_v<T>) {
             // Integer literals only, exact to 64 bits and range-checked.
             const char* end = j.value.data() + j.value.size();
@@ -445,11 +458,10 @@ private:
             expect(c == '[', key, element, "an array", "arrays");
             if constexpr (std::is_same_v<T, weight_vector>) {
                 const double* parsed = scanned_numbers.data();
-                if (j.numbers != member::npos)  // all parsed by the scan
-                    return m.assign(parsed + j.numbers,
-                                    parsed + j.numbers + j.elements);
+                if (j.at != member::npos)  // all parsed by the scan
+                    return m.assign(parsed + j.at, parsed + j.at + j.size);
             }
-            m.reserve(j.elements);
+            m.reserve(j.size);
             scanner s(j.value);
             s.expect('[');
             if (s.consume(']')) return;
@@ -490,6 +502,7 @@ template <class F>
 void decode_line(std::string_view line, const char* what, F&& read) {
     member_stack.clear();
     scanned_numbers.clear();
+    scanned_text.clear();
     scanner s(line);
     if (s.peek() != '{') bad(std::string(what) + " must be a JSON object");
     decoder d(s);

@@ -5,7 +5,7 @@
 # simd_isa/simd_lanes depend on the host.
 #
 #   cmake -DCLI=<wrpt_cli> -DSESSION=<session.jsonl> -DGOLDEN=<file.golden>
-#         [-DACTUAL=<where to write the normalized output>] -P serve_golden.cmake
+#         [-DACTUAL=<normalized output file>] -P serve_golden.cmake
 
 foreach(var CLI SESSION GOLDEN)
   if(NOT DEFINED ${var})
