@@ -198,7 +198,7 @@ public:
     }
 
     /// Checks the value at the cursor, `level` deep (the line's own value
-    /// is level 1), and returns its text, filling in `m`'s counts.
+    /// is level 1), and returns its text; `m` learns what the scan kept.
     std::string_view value(int level, member* m = nullptr) {
         if (level > max_depth) bad("nesting deeper than 64 levels");
         const char* start = (peek(), p_);

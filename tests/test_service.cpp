@@ -761,8 +761,7 @@ TEST(service, different_options_or_kinds_do_not_alias_in_the_cache) {
 
     request sq;
     sq.payload = stats_request{};
-    const auto& st =
-        std::get<stats_response>(s.handle(sq).payload);
+    const auto st = std::get<stats_response>(s.handle(sq).payload);
     EXPECT_EQ(st.cache_hits, 0u);
     EXPECT_EQ(st.cache_misses, 3u);
     EXPECT_EQ(st.cache_entries, 3u);
@@ -1276,7 +1275,7 @@ TEST(service, cache_keys_hit_exactly_when_normalized_encodings_match) {
 
     request sq;
     sq.payload = stats_request{};
-    const auto& st = std::get<stats_response>(s.handle(sq).payload);
+    const auto st = std::get<stats_response>(s.handle(sq).payload);
     EXPECT_EQ(st.cache_probes, submitted);
     EXPECT_EQ(st.cache_entries, seen.size());
     EXPECT_EQ(st.cache_hits, submitted - seen.size());
