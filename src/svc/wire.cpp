@@ -508,6 +508,10 @@ void decode_line(std::string_view line, const char* what, F&& read) {
     decoder d(s);
     s.expect_end();
     read(d);
+    // Text this long was an inline .bench. Hand its buffer back rather than
+    // pin it per thread: holding it measurably slows the circuit compile
+    // that follows a load (the allocator then maps large blocks afresh).
+    if (scanned_text.capacity() > 64 * 1024) std::string().swap(scanned_text);
 }
 
 }  // namespace
