@@ -4,6 +4,11 @@
 #include "sim/logic_sim.h"
 
 #include <bit>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +17,8 @@
 #include "fault/fault.h"
 #include "gen/comparator.h"
 #include "gen/random_circuit.h"
+#include "gen/sharded.h"
+#include "gen/suite.h"
 #include "sim/fault_sim.h"
 #include "sim/patterns.h"
 #include "util/error.h"
@@ -217,6 +224,83 @@ TEST(fault_sim, weighted_patterns_hit_rare_faults) {
         nl, faults, uniform_weights(nl, 0.9), 1234, opt);
     EXPECT_EQ(conventional.detected_count, 0u);
     EXPECT_EQ(weighted.detected_count, 1u);
+}
+
+// --- cross-version golden ----------------------------------------------
+
+/// One golden line: detected count, patterns applied and a 64-bit FNV-1a
+/// digest of first_detected (8 little-endian bytes per fault, all ones
+/// for a fault never detected).
+std::string golden_line(const std::string& name, const char* weights,
+                        const fault_sim_result& r) {
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const auto& fd : r.first_detected) {
+        const std::uint64_t v = fd.value_or(~0ull);
+        for (int b = 0; b < 64; b += 8) {
+            digest ^= (v >> b) & 0xffu;
+            digest *= 0x100000001b3ull;
+        }
+    }
+    char line[256];
+    std::snprintf(line, sizeof line, "%s %s %zu %llu %016llx\n",
+                  name.c_str(), weights, r.detected_count,
+                  static_cast<unsigned long long>(r.patterns_applied),
+                  static_cast<unsigned long long>(digest));
+    return line;
+}
+
+// Every suite circuit, the 224-slice sharded array and the one-stage
+// cascaded comparator (which detects every fault early, pinning the
+// early-stop accounting), simulated for a 1000-pattern budget (not a
+// multiple of 64) under uniform weights and under a seeded vector in
+// [0.1, 0.9], at threads 1 and 4, must reproduce
+// tests/golden/fault_sim_suite.golden byte for byte. On a mismatch the
+// fresh lines are written to fault_sim_suite.actual in the working
+// directory; copy that over the golden only for a change that is meant
+// to move results.
+TEST(fault_sim, suite_matches_golden) {
+    std::vector<std::pair<std::string, netlist>> circuits;
+    for (const suite_entry& e : benchmark_suite())
+        circuits.emplace_back(e.name, e.build());
+    circuits.emplace_back("sharded", make_sharded_comparators(224, 8));
+    circuits.emplace_back("cascaded1", make_cascaded_comparator(1));
+
+    std::string actual;
+    for (std::size_t k = 0; k < circuits.size(); ++k) {
+        const auto& [name, nl] = circuits[k];
+        const auto faults = generate_full_faults(nl);
+        rng r(0xfa17 + k);
+        weight_vector seeded(nl.input_count());
+        for (double& w : seeded) w = 0.1 + 0.8 * r.next_double();
+        const std::pair<const char*, weight_vector> inputs[] = {
+            {"uniform", uniform_weights(nl)}, {"seeded", seeded}};
+        for (const auto& [label, weights] : inputs) {
+            std::string lines[2];
+            for (unsigned t : {0u, 1u}) {
+                fault_sim_options opt;
+                opt.max_patterns = 1000;
+                opt.threads = t == 0 ? 1u : 4u;
+                lines[t] = golden_line(
+                    name, label,
+                    run_weighted_fault_simulation(nl, faults, weights,
+                                                  0x5eed + k, opt));
+            }
+            EXPECT_EQ(lines[1], lines[0]) << name << ": threads 4 vs 1";
+            actual += lines[0];
+        }
+    }
+
+    std::ifstream in(WRPT_GOLDEN_DIR "/fault_sim_suite.golden",
+                     std::ios::binary);
+    const std::string golden{std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>()};
+    if (actual != golden) {
+        std::ofstream("fault_sim_suite.actual", std::ios::binary) << actual;
+        FAIL() << "fault sim results moved; fresh lines written to "
+                  "fault_sim_suite.actual\n--- golden\n"
+               << golden << "--- actual\n"
+               << actual;
+    }
 }
 
 TEST(patterns, explicit_source_padding_and_order) {
