@@ -33,13 +33,12 @@ namespace {
 using namespace wrpt;
 
 void bm_fault_sim(benchmark::State& state, const std::string& name,
-                  std::uint64_t patterns, bool order_faults = true) {
+                  std::uint64_t patterns) {
     const netlist nl = build_suite_circuit(name);
     const auto faults = generate_full_faults(nl);
     for (auto _ : state) {
         fault_sim_options fo;
         fo.max_patterns = patterns;
-        fo.order_faults = order_faults;
         auto res = run_weighted_fault_simulation(nl, faults,
                                                  uniform_weights(nl), 7, fo);
         benchmark::DoNotOptimize(res.detected_count);
@@ -48,9 +47,6 @@ void bm_fault_sim(benchmark::State& state, const std::string& name,
         static_cast<double>(patterns) * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
     state.counters["faults"] = static_cast<double>(faults.size());
-    // The cache-locality knob under measurement: 1 = faults simulated in
-    // fault-site level order, 0 = caller list order.
-    state.counters["ordered"] = order_faults ? 1.0 : 0.0;
 }
 
 void bm_analysis(benchmark::State& state, const std::string& name) {
@@ -274,11 +270,11 @@ void bm_serve_socket(benchmark::State& state, const std::string& name,
 //
 // Each row measures one kernel in its production configuration and
 // carries a speedup counter against its in-process reference — scalar
-// dispatch for the SIMD kernels, one-word / one-thread for the blocked
-// and parallel ones. The reference is timed inline (fixed reps, steady
-// clock), so the ratio lands in the JSON even where the hardware caps
-// the win; results are bit-identical between the variants by the
-// test_simd equivalence suite, only the wall clock may move.
+// dispatch for the SIMD kernels, one thread for the parallel ones. The
+// reference is timed inline (fixed reps, steady clock), so the ratio
+// lands in the JSON even where the hardware caps the win; results are
+// bit-identical between the variants by the test_simd equivalence suite,
+// only the wall clock may move.
 
 template <class F>
 double seconds_for(F&& fn, int reps) {
@@ -342,45 +338,6 @@ void bm_normalize_exp_simd(benchmark::State& state, std::size_t terms) {
     state.counters["lanes"] = static_cast<double>(simd::lane_width(active));
     state.counters["terms"] = static_cast<double>(terms);
     state.counters["speedup_vs_scalar"] = t_vec > 0.0 ? t_scalar / t_vec : 0.0;
-}
-
-/// Blocked PPSFP at `block_words` words per pass vs the one-word
-/// reference path — the traversal-amortization win.
-void bm_fault_sim_blocked(benchmark::State& state, const std::string& name,
-                          std::uint64_t patterns, unsigned block_words) {
-    const netlist nl = build_sweep_circuit(name);
-    const auto faults = generate_full_faults(nl);
-    fault_sim_options fo;
-    fo.max_patterns = patterns;
-    fo.threads = 1;
-    fo.block_words = block_words;
-    for (auto _ : state) {
-        auto res = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, fo);
-        benchmark::DoNotOptimize(res.detected_count);
-    }
-    const int reps = 2;
-    fault_sim_options ref = fo;
-    ref.block_words = 1;
-    const double t_one = seconds_for(
-        [&] {
-            run_weighted_fault_simulation(nl, faults, uniform_weights(nl), 7,
-                                          ref);
-        },
-        reps);
-    const double t_blocked = seconds_for(
-        [&] {
-            run_weighted_fault_simulation(nl, faults, uniform_weights(nl), 7,
-                                          fo);
-        },
-        reps);
-    state.counters["block_words"] = static_cast<double>(block_words);
-    state.counters["faults"] = static_cast<double>(faults.size());
-    state.counters["patterns/s"] = benchmark::Counter(
-        static_cast<double>(patterns) * static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-    state.counters["speedup_vs_1word"] =
-        t_blocked > 0.0 ? t_one / t_blocked : 0.0;
 }
 
 /// Deterministic parallel fault SORT on `threads` pool workers vs the
@@ -451,18 +408,9 @@ BENCHMARK_CAPTURE(bm_optimize_sweep_threaded, sharded_t8,
 
 BENCHMARK_CAPTURE(bm_fault_sim, S1_4k, std::string("S1"), 4096)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, S1_4k_unordered, std::string("S1"), 4096,
-                  false)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fault_sim, c6288_1k, std::string("c6288"), 1024)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, c6288_1k_unordered, std::string("c6288"),
-                  1024, false)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_fault_sim, c7552_1k, std::string("c7552"), 1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim, c7552_1k_unordered, std::string("c7552"),
-                  1024, false)
     ->Unit(benchmark::kMillisecond);
 
 // The sharded-ANALYSIS speedup curve for BENCH JSON: the full fault-list
@@ -500,20 +448,14 @@ BENCHMARK_CAPTURE(bm_serve_socket, S1_c8_uncached, std::string("S1"), 8,
 
 // The vectorized-kernel rows for BENCH_kernels.json: vector vs scalar
 // on the largest gen/ circuit (sharded) plus a deep ISCAS shape, the
-// NORMALIZE exp kernel at optimizer-scale term counts, blocked PPSFP at
-// 4 and 8 words, and the parallel SORT at 1/2/8 threads.
+// NORMALIZE exp kernel at optimizer-scale term counts, and the parallel
+// SORT at 1/2/8 threads.
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, sharded, std::string("sharded"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_cop_sweep_simd, c7552, std::string("c7552"))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_normalize_exp_simd, t64k, std::size_t{1} << 16)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b4, std::string("sharded"),
-                  1024, 4)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_fault_sim_blocked, sharded_1k_b8, std::string("sharded"),
-                  1024, 8)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t1, std::size_t{1} << 20, 1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t2, std::size_t{1} << 20, 2)

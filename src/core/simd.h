@@ -1,11 +1,11 @@
 // Portable SIMD shim — the one place that knows which vector ISA this
 // build carries and whether it is allowed to use it.
 //
-// The compute kernels (lane-blocked COP sweeps in prob/cop_kernels, the
-// batched objective-term evaluator below, the blocked PPSFP word loops)
-// are written twice: a scalar reference — the original per-element code,
-// kept as the semantic definition — and a lane-blocked variant that must
-// be bit-identical to it. This header decides, once, which variant runs:
+// The compute kernels (lane-blocked COP sweeps in prob/cop_kernels and
+// the batched objective-term evaluator below) are written twice: a
+// scalar reference — the original per-element code, kept as the semantic
+// definition — and a lane-blocked variant that must be bit-identical to
+// it. This header decides, once, which variant runs:
 //
 //   compile time   the widest ISA the build flags guarantee (WRPT_SIMD_*
 //                  macros, lane width as a constant),

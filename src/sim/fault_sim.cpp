@@ -4,10 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <deque>
-#include <thread>
 
 #include "core/circuit_view.h"
-#include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "sim/logic_sim.h"
 #include "util/error.h"
@@ -34,14 +32,6 @@ struct block_queue {
     wrpt::mutex mutex;
     std::deque<std::vector<std::uint64_t>> blocks WRPT_GUARDED_BY(mutex);
     std::uint64_t base WRPT_GUARDED_BY(mutex) = 0;
-};
-
-/// First exception a worker raised, rethrown on the caller's thread
-/// after join (an exception escaping a std::thread body would
-/// std::terminate).
-struct error_slot {
-    wrpt::mutex mutex;
-    std::exception_ptr first WRPT_GUARDED_BY(mutex);
 };
 
 /// Sequential PPSFP with fault dropping: one simulator, blocks in order,
@@ -76,13 +66,9 @@ fault_sim_result run_sequential(const circuit_view& cv,
                 live[keep++] = fi;
                 continue;
             }
-            if (!res.first_detected[fi].has_value()) {
-                const int bit = std::countr_zero(mask);
-                res.first_detected[fi] =
-                    applied + static_cast<std::uint64_t>(bit);
-                ++res.detected_count;
-            }
-            if (!options.drop_detected) live[keep++] = fi;
+            res.first_detected[fi] =
+                applied + static_cast<std::uint64_t>(std::countr_zero(mask));
+            ++res.detected_count;
         }
         live.resize(keep);
         applied += block_size;
@@ -91,10 +77,12 @@ fault_sim_result run_sequential(const circuit_view& cv,
     return res;
 }
 
-/// Block-parallel PPSFP: workers pull 64-pattern blocks off an atomic
-/// queue, each with a private simulator over the shared view. Per-fault
-/// first detections combine by atomic minimum, which makes the result
-/// independent of worker scheduling and identical to the sequential run.
+/// Block-parallel PPSFP: `workers` items of one parallel_for on the
+/// shared thread pool (the caller runs one of them) pull 64-pattern
+/// blocks off an atomic queue, each with a private simulator over the
+/// shared view. Per-fault first detections combine by atomic minimum,
+/// which makes the result independent of worker scheduling and identical
+/// to the sequential run.
 ///
 /// Early exit matches the sequential accounting: workers stop pulling new
 /// blocks once every fault is detected. Blocks are pulled in ascending
@@ -104,7 +92,7 @@ fault_sim_result run_parallel(const circuit_view& cv,
                               const std::vector<fault>& faults,
                               pattern_source& source,
                               const fault_sim_options& options,
-                              unsigned threads) {
+                              unsigned workers) {
     const std::uint64_t block_count =
         (options.max_patterns + 63) / 64;
     const std::size_t input_count = cv.input_count();
@@ -119,16 +107,10 @@ fault_sim_result run_parallel(const circuit_view& cv,
     std::atomic<std::uint64_t> next_block{0};
     std::atomic<std::size_t> undetected{faults.size()};
 
-    // The parallel path surfaces the same catchable errors (bad pattern
-    // source, word-count mismatch) the sequential path does.
-    error_slot error;
-
     auto worker_body = [&]() {
         simulator sim(cv);
         for (;;) {
-            if (options.drop_detected &&
-                undetected.load(std::memory_order_acquire) == 0)
-                return;
+            if (undetected.load(std::memory_order_acquire) == 0) return;
             const std::uint64_t b =
                 next_block.fetch_add(1, std::memory_order_relaxed);
             if (b >= block_count) return;
@@ -162,8 +144,7 @@ fault_sim_result run_parallel(const circuit_view& cv,
             for (std::size_t fi = 0; fi < faults.size(); ++fi) {
                 // Fault dropping across blocks: a detection in an earlier
                 // block can never be improved by this one.
-                if (options.drop_detected &&
-                    first[fi].load(std::memory_order_relaxed) < block_start)
+                if (first[fi].load(std::memory_order_relaxed) < block_start)
                     continue;
                 const std::uint64_t mask =
                     sim.detect_mask(faults[fi]) & valid_mask;
@@ -186,27 +167,18 @@ fault_sim_result run_parallel(const circuit_view& cv,
         }
     };
 
-    auto worker = [&]() {
+    // The pool rethrows the first worker error on the caller's thread, so
+    // the parallel path surfaces the same catchable errors (bad pattern
+    // source, word-count mismatch) the sequential path does.
+    shared_thread_pool().parallel_for(workers, [&](std::size_t) {
         try {
             worker_body();
         } catch (...) {
-            lock_guard lock(error.mutex);
-            if (!error.first) error.first = std::current_exception();
             // Drain the queue so the other workers wind down promptly.
             next_block.store(block_count, std::memory_order_relaxed);
+            throw;
         }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-    std::exception_ptr first_error;
-    {
-        lock_guard lock(error.mutex);
-        first_error = error.first;
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    });
 
     fault_sim_result res;
     res.first_detected.assign(faults.size(), std::nullopt);
@@ -222,238 +194,9 @@ fault_sim_result run_parallel(const circuit_view& cv,
         ++res.detected_count;
         last = std::max(last, t);
     }
-    // Mirror the sequential accounting: with dropping, the run stops after
-    // the block in which the live list drained; otherwise the full budget
-    // is applied.
-    if (options.drop_detected && all_detected && !faults.empty())
-        res.patterns_applied =
-            std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
-    else
-        res.patterns_applied = options.max_patterns;
-    return res;
-}
-
-/// Blocked sequential PPSFP: B 64-pattern words per pass through the
-/// live list. Detections are read out word by word in pattern order, and
-/// the budget advances word by word, stopping after the word in which
-/// the live list drained — so first_detected and patterns_applied are
-/// exactly the one-word run's (only the pattern-source draw-ahead
-/// differs, by at most B-1 blocks).
-fault_sim_result run_sequential_blocked(const circuit_view& cv,
-                                        const std::vector<fault>& faults,
-                                        pattern_source& source,
-                                        const fault_sim_options& options,
-                                        unsigned B) {
-    block_simulator sim(cv, B);
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-
-    std::vector<std::size_t> live(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) live[i] = i;
-
-    const std::size_t input_count = cv.input_count();
-    std::vector<std::uint64_t> input(input_count * B);
-    std::vector<std::uint64_t> block;
-    std::vector<std::uint64_t> masks(B);
-    std::uint64_t applied = 0;
-    while (applied < options.max_patterns && !live.empty()) {
-        const std::uint64_t remaining_words =
-            (options.max_patterns - applied + 63) / 64;
-        const unsigned nw =
-            static_cast<unsigned>(std::min<std::uint64_t>(B, remaining_words));
-        for (unsigned w = 0; w < nw; ++w) {
-            source.next_block(block);
-            require(block.size() == input_count,
-                    "fault sim: pattern source word count != input count");
-            for (std::size_t i = 0; i < input_count; ++i)
-                input[i * B + w] = block[i];
-        }
-        for (unsigned w = nw; w < B; ++w)
-            for (std::size_t i = 0; i < input_count; ++i)
-                input[i * B + w] = 0;
-        sim.simulate(input);
-
-        std::size_t keep = 0;
-        unsigned stop_word = 0;  // last word with a first detection
-        for (std::size_t idx = 0; idx < live.size(); ++idx) {
-            const std::size_t fi = live[idx];
-            sim.detect_masks(faults[fi], masks.data());
-            unsigned dw = nw;  // first detecting word, nw = none
-            std::uint64_t dmask = 0;
-            for (unsigned w = 0; w < nw; ++w) {
-                const std::uint64_t base = applied + w * 64ULL;
-                const std::uint64_t size = std::min<std::uint64_t>(
-                    64, options.max_patterns - base);
-                const std::uint64_t valid =
-                    size == 64 ? ~0ULL : ((1ULL << size) - 1);
-                const std::uint64_t m = masks[w] & valid;
-                if (m != 0) {
-                    dw = w;
-                    dmask = m;
-                    break;
-                }
-            }
-            if (dw == nw) {
-                live[keep++] = fi;
-                continue;
-            }
-            if (!res.first_detected[fi].has_value()) {
-                res.first_detected[fi] =
-                    applied + dw * 64ULL +
-                    static_cast<std::uint64_t>(std::countr_zero(dmask));
-                ++res.detected_count;
-            }
-            stop_word = std::max(stop_word, dw);
-            if (!options.drop_detected) live[keep++] = fi;
-        }
-        const bool drained = options.drop_detected && keep == 0;
-        live.resize(keep);
-        // Replay the word-sequential budget: the one-word run stops
-        // after the word where the live list drained.
-        const unsigned consumed = drained ? stop_word + 1 : nw;
-        for (unsigned w = 0; w < consumed; ++w)
-            applied += std::min<std::uint64_t>(
-                64, options.max_patterns - applied);
-    }
-    res.patterns_applied = applied;
-    return res;
-}
-
-/// Blocked block-parallel PPSFP: run_parallel with superblocks of B
-/// words per pull. First detections combine by atomic minimum exactly as
-/// in the one-word path, and the closing accounting formula is shared,
-/// so the result is identical to the sequential runs.
-fault_sim_result run_parallel_blocked(const circuit_view& cv,
-                                      const std::vector<fault>& faults,
-                                      pattern_source& source,
-                                      const fault_sim_options& options,
-                                      unsigned threads, unsigned B) {
-    const std::uint64_t word_count = (options.max_patterns + 63) / 64;
-    const std::uint64_t super_count = (word_count + B - 1) / B;
-    const std::size_t input_count = cv.input_count();
-
-    block_queue window;
-
-    std::vector<std::atomic<std::uint64_t>> first(faults.size());
-    for (auto& f : first) f.store(never, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> next_super{0};
-    std::atomic<std::size_t> undetected{faults.size()};
-
-    error_slot error;
-
-    auto worker_body = [&]() {
-        block_simulator sim(cv, B);
-        std::vector<std::uint64_t> input(input_count * B);
-        std::vector<std::uint64_t> masks(B);
-        for (;;) {
-            if (options.drop_detected &&
-                undetected.load(std::memory_order_acquire) == 0)
-                return;
-            const std::uint64_t s =
-                next_super.fetch_add(1, std::memory_order_relaxed);
-            if (s >= super_count) return;
-            const std::uint64_t wb0 = s * B;
-            const unsigned nw = static_cast<unsigned>(
-                std::min<std::uint64_t>(B, word_count - wb0));
-            {
-                lock_guard lock(window.mutex);
-                while (window.base + window.blocks.size() < wb0 + nw) {
-                    std::vector<std::uint64_t>& fresh =
-                        window.blocks.emplace_back();
-                    source.next_block(fresh);
-                    require(fresh.size() == input_count,
-                            "fault sim: pattern source word count != "
-                            "input count");
-                }
-                for (unsigned w = 0; w < nw; ++w) {
-                    std::vector<std::uint64_t>& src = window.blocks[
-                        static_cast<std::size_t>(wb0 + w - window.base)];
-                    for (std::size_t i = 0; i < input_count; ++i)
-                        input[i * B + w] = src[i];
-                    src.clear();  // consumed; the pop loop drops it
-                }
-                while (!window.blocks.empty() &&
-                       window.blocks.front().empty()) {
-                    window.blocks.pop_front();
-                    ++window.base;
-                }
-            }
-            for (unsigned w = nw; w < B; ++w)
-                for (std::size_t i = 0; i < input_count; ++i)
-                    input[i * B + w] = 0;
-            sim.simulate(input);
-            const std::uint64_t super_start = wb0 * 64;
-            for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-                if (options.drop_detected &&
-                    first[fi].load(std::memory_order_relaxed) < super_start)
-                    continue;
-                sim.detect_masks(faults[fi], masks.data());
-                std::uint64_t t = never;
-                for (unsigned w = 0; w < nw; ++w) {
-                    const std::uint64_t base = super_start + w * 64ULL;
-                    const std::uint64_t size = std::min<std::uint64_t>(
-                        64, options.max_patterns - base);
-                    const std::uint64_t valid =
-                        size == 64 ? ~0ULL : ((1ULL << size) - 1);
-                    const std::uint64_t m = masks[w] & valid;
-                    if (m != 0) {
-                        t = base + static_cast<std::uint64_t>(
-                                       std::countr_zero(m));
-                        break;
-                    }
-                }
-                if (t == never) continue;
-                std::uint64_t cur = first[fi].load(std::memory_order_relaxed);
-                bool claimed = false;
-                while (t < cur) {
-                    if (first[fi].compare_exchange_weak(
-                            cur, t, std::memory_order_relaxed)) {
-                        claimed = cur == never;
-                        break;
-                    }
-                }
-                if (claimed)
-                    undetected.fetch_sub(1, std::memory_order_release);
-            }
-        }
-    };
-
-    auto worker = [&]() {
-        try {
-            worker_body();
-        } catch (...) {
-            lock_guard lock(error.mutex);
-            if (!error.first) error.first = std::current_exception();
-            next_super.store(super_count, std::memory_order_relaxed);
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-    std::exception_ptr first_error;
-    {
-        lock_guard lock(error.mutex);
-        first_error = error.first;
-    }
-    if (first_error) std::rethrow_exception(first_error);
-
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-    std::uint64_t last = 0;
-    bool all_detected = true;
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        const std::uint64_t t = first[fi].load(std::memory_order_relaxed);
-        if (t == never) {
-            all_detected = false;
-            continue;
-        }
-        res.first_detected[fi] = t;
-        ++res.detected_count;
-        last = std::max(last, t);
-    }
-    if (options.drop_detected && all_detected && !faults.empty())
+    // Mirror the sequential accounting: the run stops after the block in
+    // which the live list drained; otherwise the full budget is applied.
+    if (all_detected && !faults.empty())
         res.patterns_applied =
             std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
     else
@@ -468,66 +211,18 @@ fault_sim_result run_fault_simulation(const circuit_view& cv,
                                       pattern_source& source,
                                       const fault_sim_options& options) {
     require(options.max_patterns > 0, "fault sim: max_patterns must be > 0");
-    unsigned threads = options.threads;
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
-    // No point spinning up more workers (each with its own simulator
-    // scratch) than there are work pulls — 64-pattern blocks, or
-    // B-word superblocks on the blocked paths.
-    const unsigned B = std::clamp(options.block_words, 1u, 8u);
+    // 0 = the shared pool's workers plus the caller. No point running
+    // more workers (each with its own simulator scratch) than there are
+    // 64-pattern blocks.
+    const unsigned threads =
+        options.threads == 0 ? shared_thread_pool().size() + 1
+                             : options.threads;
     const std::uint64_t block_count = (options.max_patterns + 63) / 64;
-    const std::uint64_t pulls = (block_count + B - 1) / B;
-    threads = static_cast<unsigned>(std::min<std::uint64_t>(threads, pulls));
-
-    // All four paths produce identical results; block_words == 1 is the
-    // scalar reference pair.
-    auto dispatch = [&](const std::vector<fault>& fl,
-                        const fault_sim_options& o) {
-        if (threads <= 1 || fl.empty())
-            return B <= 1 ? run_sequential(cv, fl, source, o)
-                          : run_sequential_blocked(cv, fl, source, o, B);
-        return B <= 1 ? run_parallel(cv, fl, source, o, threads)
-                      : run_parallel_blocked(cv, fl, source, o, threads, B);
-    };
-
-    // Cache-friendly fault ordering: simulate in fault-site level /
-    // topological-id order so consecutive detect-mask wavefronts launch
-    // from neighboring nodes and reuse warm scratch state. Per-fault
-    // results do not depend on list position, so the permutation is
-    // invisible to the caller — results come back in input order.
-    if (options.order_faults && faults.size() > 1) {
-        std::vector<std::size_t> order(faults.size());
-        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-        // Same deterministic sharded sort the SORT stage uses; the index
-        // tie-break keeps equal keys in list order (== stable sort) on
-        // one thread or many.
-        parallel_stable_sort_indices(
-            order,
-            [&](std::size_t a, std::size_t b) {
-                const fault& fa = faults[a];
-                const fault& fb = faults[b];
-                if (cv.level(fa.where) != cv.level(fb.where))
-                    return cv.level(fa.where) < cv.level(fb.where);
-                if (fa.where != fb.where) return fa.where < fb.where;
-                return fa.pin < fb.pin;
-            },
-            threads > 1 ? &shared_thread_pool() : nullptr, threads);
-        std::vector<fault> sorted;
-        sorted.reserve(faults.size());
-        for (std::size_t i : order) sorted.push_back(faults[i]);
-        fault_sim_options inner = options;
-        inner.order_faults = false;
-        fault_sim_result permuted = dispatch(sorted, inner);
-        fault_sim_result res;
-        res.patterns_applied = permuted.patterns_applied;
-        res.detected_count = permuted.detected_count;
-        res.first_detected.resize(faults.size());
-        for (std::size_t i = 0; i < order.size(); ++i)
-            res.first_detected[order[i]] = permuted.first_detected[i];
-        return res;
-    }
-
-    return dispatch(faults, options);
+    const unsigned workers =
+        static_cast<unsigned>(std::min<std::uint64_t>(threads, block_count));
+    if (workers <= 1 || faults.empty())
+        return run_sequential(cv, faults, source, options);
+    return run_parallel(cv, faults, source, options, workers);
 }
 
 fault_sim_result run_fault_simulation(const netlist& nl,

@@ -17,34 +17,15 @@ class circuit_view;
 
 struct fault_sim_options {
     std::uint64_t max_patterns = 4096;
-    bool drop_detected = true;  ///< stop simulating a fault once detected
-    /// Worker threads for block-parallel PPSFP: 0 = one per hardware
-    /// thread, 1 = sequential. Workers share one compiled circuit_view and
-    /// pull 64-pattern blocks off an atomic work queue; per-fault first
-    /// detections combine by atomic minimum, so the result is identical to
-    /// the sequential run for the same pattern source. The parallel path
-    /// draws blocks from `source` lazily in pull order and may draw up to
-    /// `threads` blocks more than the sequential path before the
-    /// all-detected early exit stops the workers.
+    /// Workers for block-parallel PPSFP: 0 = the shared thread pool's
+    /// workers plus the caller, 1 = sequential. Workers share one compiled
+    /// circuit_view and pull 64-pattern blocks off an atomic work queue;
+    /// per-fault first detections combine by atomic minimum, so the result
+    /// is identical to the sequential run for the same pattern source. The
+    /// parallel path draws blocks from `source` lazily in pull order and
+    /// may draw up to `threads` blocks more than the sequential path
+    /// before the all-detected early exit stops the workers.
     unsigned threads = 0;
-    /// Simulate faults in fault-site level / topological-id order instead
-    /// of list order, so consecutive detect-mask wavefronts start in the
-    /// same circuit region and reuse warm event-queue and value scratch.
-    /// Results are reported in the caller's fault order either way (a
-    /// fault's first detection does not depend on its neighbors), so this
-    /// is purely a cache locality knob — measured by the perf_kernels
-    /// fault-sim counters.
-    bool order_faults = true;
-    /// Machine words per PPSFP pass (clamped to [1, 8]): each pass
-    /// simulates 64 * block_words patterns, amortizing the forward sweep
-    /// and per-fault wavefront traversals across the words. Per-word
-    /// propagation is independent, so first detections are bit-identical
-    /// to block_words = 1 (the scalar reference path), and the
-    /// word-sequential early-exit accounting is replayed exactly —
-    /// patterns_applied matches the one-word run. Like the parallel
-    /// path, a blocked run may draw up to block_words - 1 blocks more
-    /// from `source` than the one-word run before stopping.
-    unsigned block_words = 4;
 };
 
 struct fault_sim_result {

@@ -128,140 +128,6 @@ std::uint64_t simulator::detect_mask(const fault& f) {
     return detected;
 }
 
-block_simulator::block_simulator(const circuit_view& view, unsigned words)
-    : view_(&view), words_(words) {
-    require(words_ >= 1, "block_simulator: words must be >= 1");
-    const std::size_t n = view_->node_count();
-    good_.assign(n * words_, 0);
-    faulty_.assign(n * words_, 0);
-    vbuf_.assign(words_, 0);
-    args_.assign(view_->max_arity() * words_, 0);
-    has_faulty_.assign(n, 0);
-    queued_.assign(n, 0);
-    buckets_.resize(view_->depth() + 1);
-}
-
-void block_simulator::simulate(std::span<const std::uint64_t> input_words) {
-    require(input_words.size() == view_->input_count() * words_,
-            "block_simulator::simulate: word count != input count * words");
-    const circuit_view& cv = *view_;
-    const unsigned B = words_;
-    const auto inputs = cv.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        std::uint64_t* dst = node_words(good_, inputs[i]);
-        for (unsigned w = 0; w < B; ++w) dst[w] = input_words[i * B + w];
-    }
-    const node_id count = static_cast<node_id>(cv.node_count());
-    for (node_id n = 0; n < count; ++n) {
-        if (cv.kind(n) == gate_kind::input) continue;
-        const auto fi = cv.fanins(n);
-        std::uint64_t* dst = node_words(good_, n);
-        for (unsigned w = 0; w < B; ++w)
-            dst[w] = eval_gate_with(
-                word_algebra{}, cv.kind(n),
-                [&](std::size_t k) {
-                    return good_[static_cast<std::size_t>(fi[k]) * B + w];
-                },
-                fi.size());
-    }
-}
-
-void block_simulator::schedule(node_id n) {
-    if (!queued_[n]) {
-        queued_[n] = 1;
-        buckets_[view_->level(n)].push_back(n);
-    }
-}
-
-void block_simulator::detect_masks(const fault& f, std::uint64_t* masks) {
-    const circuit_view& cv = *view_;
-    const unsigned B = words_;
-    std::fill(masks, masks + B, 0);
-
-    const std::uint64_t forced = stuck_value(f.value) ? ~0ULL : 0ULL;
-    std::size_t start_level = 0;
-
-    auto mark = [&](node_id n, const std::uint64_t* v) {
-        std::uint64_t* dst = node_words(faulty_, n);
-        for (unsigned w = 0; w < B; ++w) dst[w] = v[w];
-        has_faulty_[n] = 1;
-        touched_.push_back(n);
-        for (node_id fo : cv.fanouts(n)) schedule(fo);
-    };
-
-    if (f.is_stem()) {
-        const node_id n = f.where;
-        const std::uint64_t* g = node_words(good_, n);
-        std::uint64_t any = 0;
-        for (unsigned w = 0; w < B; ++w) any |= g[w] ^ forced;
-        if (any == 0) return;  // fault never activated in any block
-        for (unsigned w = 0; w < B; ++w) vbuf_[w] = forced;
-        mark(n, vbuf_.data());
-        if (cv.is_output(n))
-            for (unsigned w = 0; w < B; ++w) masks[w] |= g[w] ^ forced;
-        start_level = cv.level(n);
-    } else {
-        // Branch fault: only gate f.where sees the forced value on its pin.
-        const node_id gn = f.where;
-        const auto fi = cv.fanins(gn);
-        for (std::size_t k = 0; k < fi.size(); ++k) {
-            const std::uint64_t* src = node_words(good_, fi[k]);
-            for (unsigned w = 0; w < B; ++w) args_[k * B + w] = src[w];
-        }
-        for (unsigned w = 0; w < B; ++w)
-            args_[static_cast<std::size_t>(f.pin) * B + w] = forced;
-        const std::uint64_t* g = node_words(good_, gn);
-        std::uint64_t any = 0;
-        for (unsigned w = 0; w < B; ++w) {
-            vbuf_[w] = eval_gate_with(
-                word_algebra{}, cv.kind(gn),
-                [&](std::size_t k) { return args_[k * B + w]; }, fi.size());
-            any |= vbuf_[w] ^ g[w];
-        }
-        if (any == 0) return;
-        mark(gn, vbuf_.data());
-        queued_[gn] = 0;  // gn itself is final; only its fanouts propagate
-        if (cv.is_output(gn))
-            for (unsigned w = 0; w < B; ++w) masks[w] |= g[w] ^ vbuf_[w];
-        start_level = cv.level(gn);
-    }
-
-    // Levelized wavefront over all B words at once. A word in which a
-    // node's faulty value equals its good value carries the good value
-    // downstream — exactly what the one-word simulator's "not marked"
-    // state means — so each word propagates as if simulated alone.
-    for (std::size_t lvl = start_level; lvl < buckets_.size(); ++lvl) {
-        auto& bucket = buckets_[lvl];
-        for (std::size_t idx = 0; idx < bucket.size(); ++idx) {
-            const node_id n = bucket[idx];
-            queued_[n] = 0;
-            if (has_faulty_[n]) continue;  // the injected node stays forced
-            const auto fi = cv.fanins(n);
-            const std::uint64_t* g = node_words(good_, n);
-            std::uint64_t any = 0;
-            for (unsigned w = 0; w < B; ++w) {
-                vbuf_[w] = eval_gate_with(
-                    word_algebra{}, cv.kind(n),
-                    [&](std::size_t k) {
-                        const std::size_t fw =
-                            static_cast<std::size_t>(fi[k]) * B + w;
-                        return has_faulty_[fi[k]] ? faulty_[fw] : good_[fw];
-                    },
-                    fi.size());
-                any |= vbuf_[w] ^ g[w];
-            }
-            if (any == 0) continue;
-            mark(n, vbuf_.data());
-            if (cv.is_output(n))
-                for (unsigned w = 0; w < B; ++w) masks[w] |= g[w] ^ vbuf_[w];
-        }
-        bucket.clear();
-    }
-
-    for (node_id n : touched_) has_faulty_[n] = 0;
-    touched_.clear();
-}
-
 std::vector<bool> evaluate(const netlist& nl, const std::vector<bool>& inputs) {
     require(inputs.size() == nl.input_count(),
             "evaluate: input size mismatch");

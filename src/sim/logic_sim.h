@@ -71,57 +71,6 @@ private:
     std::vector<std::uint64_t> output_diff_;
 };
 
-/// Multi-word PPSFP simulator: B machine words (64*B patterns) per node
-/// per pass, amortizing every traversal — the forward sweep's gate
-/// decode, the wavefront's scheduling and scratch resets — across B
-/// words instead of one. Word w of a node is exactly what `simulator`
-/// would compute for pattern block w: the per-word propagation is
-/// independent (bitwise ops never mix words), and a node whose faulty
-/// word equals its good word contributes the good value downstream
-/// either way, so detect_masks() word w is bit-identical to
-/// simulator::detect_mask() run on block w alone. The blocked fault
-/// simulation paths rest on that equivalence; tests/test_simd.cpp
-/// asserts it per word.
-class block_simulator {
-public:
-    /// Share a compiled view; `words` is B, the block width (>= 1).
-    block_simulator(const circuit_view& view, unsigned words);
-
-    unsigned words() const { return words_; }
-
-    /// Simulate B blocks of 64 patterns. `input_words` has B consecutive
-    /// words per primary input — input i's word for block w is
-    /// input_words[i * words() + w] — ordered like netlist::inputs().
-    void simulate(std::span<const std::uint64_t> input_words);
-
-    /// Fault-free value of node n in block w.
-    std::uint64_t value(node_id n, unsigned w) const {
-        return good_[static_cast<std::size_t>(n) * words_ + w];
-    }
-
-    /// Detection masks of `f` for every block: masks[w] is the 64-bit
-    /// mask of block-w patterns whose output response differs under `f`.
-    /// `masks` must hold words() entries. Requires a prior simulate().
-    void detect_masks(const fault& f, std::uint64_t* masks);
-
-private:
-    std::uint64_t* node_words(std::vector<std::uint64_t>& v, node_id n) {
-        return v.data() + static_cast<std::size_t>(n) * words_;
-    }
-    void schedule(node_id n);
-
-    const circuit_view* view_;
-    unsigned words_;
-    std::vector<std::uint64_t> good_;    // node-major, words_ per node
-    std::vector<std::uint64_t> faulty_;  // same layout
-    std::vector<std::uint64_t> vbuf_;    // one node's candidate words
-    std::vector<std::uint64_t> args_;    // gather buffer, arity x words_
-    std::vector<std::uint8_t> has_faulty_;
-    std::vector<std::uint8_t> queued_;
-    std::vector<std::vector<node_id>> buckets_;  // by level
-    std::vector<node_id> touched_;
-};
-
 /// Single-pattern convenience evaluation (reference path for tests):
 /// returns output values, ordered like nl.outputs().
 std::vector<bool> evaluate(const netlist& nl, const std::vector<bool>& inputs);

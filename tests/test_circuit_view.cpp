@@ -5,6 +5,7 @@
 
 #include "core/circuit_view.h"
 
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "prob/signal_prob.h"
 #include "sim/fault_sim.h"
 #include "sim/logic_sim.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace wrpt {
@@ -271,20 +273,16 @@ TEST_P(view_seeds, parallel_fault_sim_matches_sequential) {
     fault_sim_options par = seq;
     par.threads = 4;
 
-    for (const bool drop : {true, false}) {
-        fault_sim_options s = seq, p = par;
-        s.drop_detected = p.drop_detected = drop;
-        const auto a = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, s);
-        const auto b = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, p);
-        EXPECT_EQ(a.patterns_applied, b.patterns_applied) << "drop " << drop;
-        EXPECT_EQ(a.detected_count, b.detected_count) << "drop " << drop;
-        ASSERT_EQ(a.first_detected.size(), b.first_detected.size());
-        for (std::size_t i = 0; i < a.first_detected.size(); ++i)
-            EXPECT_EQ(a.first_detected[i], b.first_detected[i])
-                << to_string(nl, faults[i]) << " drop " << drop;
-    }
+    const auto a = run_weighted_fault_simulation(
+        nl, faults, uniform_weights(nl), 0xfeed, seq);
+    const auto b = run_weighted_fault_simulation(
+        nl, faults, uniform_weights(nl), 0xfeed, par);
+    EXPECT_EQ(a.patterns_applied, b.patterns_applied);
+    EXPECT_EQ(a.detected_count, b.detected_count);
+    ASSERT_EQ(a.first_detected.size(), b.first_detected.size());
+    for (std::size_t i = 0; i < a.first_detected.size(); ++i)
+        EXPECT_EQ(a.first_detected[i], b.first_detected[i])
+            << to_string(nl, faults[i]);
 }
 
 TEST(parallel_fault_sim, early_stop_accounting_matches_sequential) {
@@ -304,6 +302,69 @@ TEST(parallel_fault_sim, early_stop_accounting_matches_sequential) {
     EXPECT_EQ(a.patterns_applied, b.patterns_applied);
     for (std::size_t i = 0; i < a.first_detected.size(); ++i)
         EXPECT_EQ(a.first_detected[i], b.first_detected[i]);
+}
+
+/// Weighted random blocks that throw on the third draw.
+class throwing_source final : public pattern_source {
+public:
+    explicit throwing_source(const netlist& nl)
+        : inner_(uniform_weights(nl), 0xfeed) {}
+    void next_block(std::vector<std::uint64_t>& words) override {
+        if (++draws_ == 3) throw std::runtime_error("source failed");
+        inner_.next_block(words);
+    }
+
+private:
+    weighted_random_source inner_;
+    int draws_ = 0;
+};
+
+/// Blocks one word short of the circuit's input count.
+class short_source final : public pattern_source {
+public:
+    explicit short_source(const netlist& nl) : inner_(uniform_weights(nl), 1) {}
+    void next_block(std::vector<std::uint64_t>& words) override {
+        inner_.next_block(words);
+        words.pop_back();
+    }
+
+private:
+    weighted_random_source inner_;
+};
+
+// A worker error on the shared-pool path reaches the caller as the
+// sequential path's error, and leaves the pool fit for the next run.
+TEST(parallel_fault_sim, worker_errors_reach_the_caller) {
+    const netlist nl = make_test_circuit(12, 12, 160);
+    const auto faults = generate_full_faults(nl);
+    fault_sim_options seq;
+    seq.max_patterns = 4096;
+    seq.threads = 1;
+    const auto want = run_weighted_fault_simulation(
+        nl, faults, uniform_weights(nl), 0xfeed, seq);
+    // The third block is drawn on both paths.
+    ASSERT_GT(want.patterns_applied, 128u);
+
+    for (const unsigned threads : {1u, 4u}) {
+        fault_sim_options o = seq;
+        o.threads = threads;
+        throwing_source bad(nl);
+        EXPECT_THROW(run_fault_simulation(nl, faults, bad, o),
+                     std::runtime_error)
+            << "threads " << threads;
+        short_source narrow(nl);
+        EXPECT_THROW(run_fault_simulation(nl, faults, narrow, o),
+                     invalid_input)
+            << "threads " << threads;
+    }
+
+    fault_sim_options par = seq;
+    par.threads = 4;
+    const auto got = run_weighted_fault_simulation(
+        nl, faults, uniform_weights(nl), 0xfeed, par);
+    EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+    EXPECT_EQ(want.detected_count, got.detected_count);
+    EXPECT_EQ(want.first_detected, got.first_detected);
 }
 
 // --- thread-safe lazy fanouts -------------------------------------------

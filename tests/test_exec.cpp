@@ -370,31 +370,5 @@ TEST(batch_session, add_circuit_file_round_trip) {
     std::filesystem::remove_all(dir);
 }
 
-// --- fault ordering ------------------------------------------------------
-
-TEST(fault_ordering, ordered_and_unordered_runs_agree) {
-    const netlist nl = make_test_circuit(31, 12, 160);
-    const auto faults = generate_full_faults(nl);
-    for (const bool drop : {true, false}) {
-        fault_sim_options a;
-        a.max_patterns = 700;
-        a.threads = 1;
-        a.drop_detected = drop;
-        a.order_faults = false;
-        fault_sim_options b = a;
-        b.order_faults = true;
-        const auto ra = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, a);
-        const auto rb = run_weighted_fault_simulation(
-            nl, faults, uniform_weights(nl), 0xfeed, b);
-        EXPECT_EQ(ra.detected_count, rb.detected_count);
-        EXPECT_EQ(ra.patterns_applied, rb.patterns_applied);
-        ASSERT_EQ(ra.first_detected.size(), rb.first_detected.size());
-        for (std::size_t i = 0; i < ra.first_detected.size(); ++i)
-            EXPECT_EQ(ra.first_detected[i], rb.first_detected[i])
-                << to_string(nl, faults[i]) << " drop " << drop;
-    }
-}
-
 }  // namespace
 }  // namespace wrpt

@@ -153,29 +153,16 @@ TEST(fault_sim, detects_and_drops) {
     }
 }
 
-TEST(fault_sim, first_detection_consistent_with_no_dropping) {
-    const netlist nl = make_cascaded_comparator(1);
-    const auto faults = generate_full_faults(nl);
-    fault_sim_options drop, keep;
-    drop.max_patterns = keep.max_patterns = 256;
-    keep.drop_detected = false;
-    const auto a = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, drop);
-    const auto b = run_weighted_fault_simulation(nl, faults,
-                                                 uniform_weights(nl), 7, keep);
-    ASSERT_EQ(a.first_detected.size(), b.first_detected.size());
-    for (std::size_t i = 0; i < a.first_detected.size(); ++i)
-        EXPECT_EQ(a.first_detected[i], b.first_detected[i]);
-}
-
 TEST(fault_sim, respects_non_multiple_of_64_budget) {
-    const netlist nl = make_cascaded_comparator(1);
+    // S1 is random-pattern resistant: its faults are not all detected
+    // within 100 patterns, so the budget must bind.
+    const netlist nl = build_suite_circuit("S1");
     const auto faults = generate_full_faults(nl);
     fault_sim_options opt;
     opt.max_patterns = 100;
-    opt.drop_detected = false;  // keep simulating: the budget must bind
     const auto res = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 3, opt);
+    ASSERT_LT(res.detected_count, faults.size());
     EXPECT_EQ(res.patterns_applied, 100u);
     for (const auto& fd : res.first_detected) {
         if (fd.has_value()) {

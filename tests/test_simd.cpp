@@ -202,44 +202,12 @@ TEST(SimdExpNegScale, NormalizeMatchesAcrossThreads) {
     }
 }
 
-// --- blocked PPSFP -----------------------------------------------------------
-
-// block_simulator word w == simulator on block w, for values and for
-// per-fault detection masks.
-TEST(SimdBlockSim, WordsMatchSingleWordSimulator) {
-    const netlist nl = build_suite_circuit("S1");
-    const circuit_view cv = circuit_view::compile(nl);
-    const std::vector<fault> faults = generate_full_faults(nl);
-
-    constexpr unsigned kWords = 4;
-    rng r(0x5151);
-    std::vector<std::uint64_t> blocks(nl.input_count() * kWords);
-    for (auto& w : blocks) w = r.next_word();
-
-    block_simulator bsim(cv, kWords);
-    bsim.simulate(blocks);
-
-    simulator ssim(cv);
-    std::vector<std::uint64_t> one(nl.input_count());
-    std::vector<std::uint64_t> masks(kWords);
-    for (unsigned w = 0; w < kWords; ++w) {
-        for (std::size_t i = 0; i < one.size(); ++i)
-            one[i] = blocks[i * kWords + w];
-        ssim.simulate(one);
-        for (node_id o : nl.outputs())
-            ASSERT_EQ(ssim.value(o), bsim.value(o, w)) << "word " << w;
-        for (std::size_t fi = 0; fi < faults.size(); fi += 7) {
-            bsim.detect_masks(faults[fi], masks.data());
-            ASSERT_EQ(ssim.detect_mask(faults[fi]), masks[w])
-                << "fault " << fi << " word " << w;
-        }
-    }
-}
+// --- parallel PPSFP --------------------------------------------------------
 
 // The full fault-simulation result — first_detected per fault AND
-// patterns_applied — is invariant across block widths and thread counts,
-// including budgets that are not multiples of the block size.
-TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
+// patterns_applied — is invariant across thread counts, including budgets
+// that are not multiples of 64 times the thread count.
+TEST(SimdFaultSim, ParallelBitIdentical) {
     for (const char* name : {"S1", "c432"}) {
         const netlist nl = build_suite_circuit(name);
         const std::vector<fault> faults = generate_full_faults(nl);
@@ -249,31 +217,23 @@ TEST(SimdFaultSim, BlockedAndParallelBitIdentical) {
             fault_sim_options ref;
             ref.max_patterns = budget;
             ref.threads = 1;
-            ref.block_words = 1;
             const fault_sim_result want =
                 run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
 
-            for (unsigned block : {1u, 4u, 8u}) {
-                for (unsigned threads : {1u, 2u, 8u}) {
-                    fault_sim_options o = ref;
-                    o.block_words = block;
-                    o.threads = threads;
-                    const fault_sim_result got =
-                        run_weighted_fault_simulation(nl, faults, w, 0xfeed,
-                                                      o);
-                    SCOPED_TRACE(std::string(name) + " B" +
-                                 std::to_string(block) + " t" +
-                                 std::to_string(threads));
-                    EXPECT_EQ(want.patterns_applied, got.patterns_applied);
-                    EXPECT_EQ(want.detected_count, got.detected_count);
-                    ASSERT_EQ(want.first_detected.size(),
-                              got.first_detected.size());
-                    for (std::size_t i = 0; i < want.first_detected.size();
-                         ++i)
-                        ASSERT_EQ(want.first_detected[i],
-                                  got.first_detected[i])
-                            << "fault " << i;
-                }
+            for (unsigned threads : {1u, 2u, 8u}) {
+                fault_sim_options o = ref;
+                o.threads = threads;
+                const fault_sim_result got =
+                    run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
+                SCOPED_TRACE(std::string(name) + " t" +
+                             std::to_string(threads));
+                EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+                EXPECT_EQ(want.detected_count, got.detected_count);
+                ASSERT_EQ(want.first_detected.size(),
+                          got.first_detected.size());
+                for (std::size_t i = 0; i < want.first_detected.size(); ++i)
+                    ASSERT_EQ(want.first_detected[i], got.first_detected[i])
+                        << "fault " << i;
             }
         }
     }
