@@ -334,7 +334,15 @@ std::string validate_options(const optimize_request& p) {
     return {};
 }
 
-std::string validate_options(const fault_sim_request&) { return {}; }
+/// A tenant's fault_sim budget: fault dropping cannot end a run early on
+/// a circuit with undetectable faults, so the budget bounds the work.
+constexpr std::uint64_t max_fault_sim_patterns = 1ULL << 20;
+
+std::string validate_options(const fault_sim_request& p) {
+    if (p.patterns < 1 || p.patterns > max_fault_sim_patterns)
+        return "patterns must lie in [1,1048576]";
+    return {};
+}
 
 }  // namespace
 

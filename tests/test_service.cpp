@@ -846,6 +846,60 @@ TEST(service, matrix_requests_answer_per_entry_with_error_envelopes) {
                   .length.test_length);
 }
 
+TEST(service, fault_sim_patterns_are_bounded) {
+    service s;
+    const std::size_t c = load_comparator(s, "svc_patterns");
+
+    // A single job: the budget must lie in [1, 2^20].
+    for (const std::uint64_t patterns : {0ull, 1048577ull}) {
+        request q;
+        fault_sim_request p;
+        p.circuit = c;
+        p.patterns = patterns;
+        q.payload = p;
+        const response r = s.handle(q);
+        ASSERT_FALSE(r.ok) << patterns;
+        EXPECT_EQ(std::get<error_response>(r.payload).message,
+                  "patterns must lie in [1,1048576]");
+    }
+    request q;
+    fault_sim_request p;
+    p.circuit = c;
+    p.patterns = 1048576;
+    q.payload = p;
+    const response ok = s.handle(q);
+    ASSERT_TRUE(ok.ok);
+    const auto& sim = std::get<fault_sim_response>(ok.payload);
+    // The comparator is fully random testable: dropping ends the run early.
+    EXPECT_EQ(sim.detected, sim.faults);
+    EXPECT_LT(sim.patterns, 1048576u);
+
+    // A matrix job: out-of-range budgets are per-entry envelopes.
+    for (const std::uint64_t patterns : {0ull, 1048577ull, 1048576ull}) {
+        request mq;
+        matrix_request m;
+        m.kind = job_kind::fault_sim;
+        m.circuits = {c};
+        m.weight_sets = {weight_vector{}};
+        m.patterns = patterns;
+        mq.payload = std::move(m);
+        const response r = s.handle(mq);
+        ASSERT_TRUE(r.ok);
+        const auto& mr = std::get<matrix_response>(r.payload);
+        ASSERT_EQ(mr.results.size(), 1u);
+        if (patterns == 1048576) {
+            ASSERT_TRUE(mr.results[0].ok);
+            EXPECT_LT(std::get<fault_sim_response>(mr.results[0].payload)
+                          .patterns,
+                      1048576u);
+        } else {
+            ASSERT_FALSE(mr.results[0].ok) << patterns;
+            EXPECT_EQ(std::get<error_response>(mr.results[0].payload).message,
+                      "patterns must lie in [1,1048576]");
+        }
+    }
+}
+
 TEST(wire, evict_without_all_field_defaults_to_per_circuit) {
     // Naming a circuit but omitting "all" must NOT wipe the daemon.
     const auto scoped = std::get<evict_request>(
@@ -1084,18 +1138,18 @@ TEST(service, cache_accounting_balances_even_when_jobs_fail) {
         return std::get<stats_response>(s.handle(sq).payload);
     };
 
-    // A job that fails deep in the pipeline (patterns=0 passes request
-    // validation but throws inside the simulator) was still probed; it
-    // must be accounted as a miss, not dropped on the floor.
+    // A job that fails deep in the pipeline (weights of 1e-300 pass
+    // request validation, but the test length they imply diverges inside
+    // NORMALIZE) was still probed; it must be accounted as a miss, not
+    // dropped on the floor.
     request bad;
     matrix_request m;
-    m.kind = job_kind::fault_sim;
+    m.kind = job_kind::test_length;
     m.circuits = {c};
-    // Two spellings of the same doomed query: one computes (and fails),
-    // the duplicate rides the same failure — both are misses.
-    m.weight_sets = {weight_vector{},
-                     uniform_weights(s.session().circuit(c))};
-    m.patterns = 0;
+    // The same doomed query twice: one computes (and fails), the
+    // duplicate rides the same failure — both are misses.
+    const weight_vector tiny(s.session().circuit(c).input_count(), 1e-300);
+    m.weight_sets = {tiny, tiny};
     bad.payload = std::move(m);
     const response r = s.handle(bad);
     ASSERT_TRUE(r.ok);
