@@ -59,7 +59,7 @@ usage)
     [ $? -eq 2 ] || fail "missing path: expected exit 2"
     # --list-rules succeeds and names every rule.
     OUT=$("$BIN" --list-rules) || fail "--list-rules: expected exit 0"
-    for RULE in dense-map determinism blocking-io raw-mutex; do
+    for RULE in dense-map determinism blocking-io raw-mutex raw-thread; do
         echo "$OUT" | grep -q "$RULE" || fail "--list-rules missing $RULE"
     done
     ;;

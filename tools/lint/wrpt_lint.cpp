@@ -20,6 +20,10 @@
 //                 (wrpt::mutex & friends carry the thread-safety
 //                 annotations); raw std::mutex/locks/condition_variable
 //                 and their headers are forbidden elsewhere.
+//   raw-thread    src/ and tools/ run work on exec::thread_pool: a
+//                 std::thread/std::jthread object appears only in
+//                 exec/thread_pool.* and svc/server.* (the reactor).
+//                 std::thread::hardware_concurrency() stays allowed.
 //
 // Escape hatch: `// wrpt-lint: allow(<rule>[,<rule>...])` on the same
 // line, or on an immediately preceding comment-only line, suppresses the
@@ -73,6 +77,9 @@ constexpr rule_info kRules[] = {
     {"raw-mutex",
      "synchronization primitives come from util/sync.h, not raw std::mutex "
      "and friends"},
+    {"raw-thread",
+     "std::thread/std::jthread objects in src/ and tools/ only inside "
+     "exec/thread_pool.* and svc/server.*"},
 };
 
 constexpr std::size_t kRuleCount = sizeof(kRules) / sizeof(kRules[0]);
@@ -257,6 +264,13 @@ bool ends_with(const std::vector<std::string>& comps, const char* dir,
                const char* file) {
     return comps.size() >= 2 && comps[comps.size() - 2] == dir &&
            comps.back() == file;
+}
+
+/// `dir/stem.<any extension>`: a header and its source as one unit.
+bool is_unit(const std::vector<std::string>& comps, const char* dir,
+             const char* stem) {
+    return comps.size() >= 2 && comps[comps.size() - 2] == dir &&
+           fs::path(comps.back()).stem() == stem;
 }
 
 // --- token matching ---------------------------------------------------------
@@ -501,6 +515,28 @@ void check_raw_mutex(const std::string& path,
     }
 }
 
+void check_raw_thread(const std::string& path,
+                      const std::vector<scanned_line>& lines,
+                      std::vector<violation>& out) {
+    for (std::size_t li = 0; li < lines.size(); ++li) {
+        const std::string& code = lines[li].code;
+        for (const char* t : {"std::thread", "std::jthread"}) {
+            for (std::size_t pos : find_token(code, t)) {
+                // std::thread::hardware_concurrency() and std::thread::id
+                // name no thread object.
+                const std::size_t after =
+                    next_nonspace(code, pos + std::string(t).size());
+                if (after < code.size() && code[after] == ':') continue;
+                out.push_back({path, li + 1, "raw-thread",
+                               std::string(t) +
+                                   " object outside exec/thread_pool and "
+                                   "svc/server: run the work on the shared "
+                                   "thread_pool"});
+            }
+        }
+    }
+}
+
 // --- driver -----------------------------------------------------------------
 
 bool lintable(const fs::path& p) {
@@ -535,6 +571,10 @@ bool lint_file(const std::string& path, lint_result& res) {
         check_blocking_io(path, lines, found);
     if (!ends_with(comps, "util", "sync.h"))
         check_raw_mutex(path, lines, found);
+    if ((has_component(comps, "src") || has_component(comps, "tools")) &&
+        !is_unit(comps, "exec", "thread_pool") &&
+        !is_unit(comps, "svc", "server"))
+        check_raw_thread(path, lines, found);
 
     for (violation& v : found) {
         const std::size_t li = v.line - 1;
