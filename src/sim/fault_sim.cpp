@@ -196,7 +196,7 @@ fault_sim_result run_parallel(const circuit_view& cv,
     }
     // Mirror the sequential accounting: the run stops after the block in
     // which the live list drained; otherwise the full budget is applied.
-    if (all_detected && !faults.empty())
+    if (all_detected)
         res.patterns_applied =
             std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
     else
