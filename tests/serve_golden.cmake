@@ -5,7 +5,12 @@
 # simd_isa/simd_lanes depend on the host.
 #
 #   cmake -DCLI=<wrpt_cli> -DSESSION=<session.jsonl> -DGOLDEN=<file.golden>
-#         [-DACTUAL=<normalized output file>] -P serve_golden.cmake
+#         [-DSETUP=<setup.jsonl>] [-DACTUAL=<normalized output file>]
+#         -P serve_golden.cmake
+#
+# SETUP, when given, is replayed first through the same daemon; its
+# responses (one per non-blank line) are discarded, as ci.yml's socket job
+# discards socket_setup.jsonl's.
 
 foreach(var CLI SESSION GOLDEN)
   if(NOT DEFINED ${var})
@@ -13,12 +18,39 @@ foreach(var CLI SESSION GOLDEN)
   endif()
 endforeach()
 
-execute_process(COMMAND ${CLI} serve ${SESSION} --threads 1
-                OUTPUT_VARIABLE actual
-                ERROR_VARIABLE log
-                RESULT_VARIABLE status)
+if(DEFINED SETUP)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E cat ${SETUP} ${SESSION}
+                  COMMAND ${CLI} serve - --threads 1
+                  OUTPUT_VARIABLE actual
+                  ERROR_VARIABLE log
+                  RESULT_VARIABLE status)
+else()
+  execute_process(COMMAND ${CLI} serve ${SESSION} --threads 1
+                  OUTPUT_VARIABLE actual
+                  ERROR_VARIABLE log
+                  RESULT_VARIABLE status)
+endif()
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "wrpt_cli serve exited with ${status}:\n${log}")
+endif()
+
+if(DEFINED SETUP)
+  # The daemon skips blank lines and answers every other line once. Count
+  # the setup's requests by turning each non-blank line into one "x".
+  file(READ ${SETUP} setup)
+  string(REGEX REPLACE "[^\n]*[^ \t\r\n][^\n]*" "x" setup "${setup}")
+  string(REGEX REPLACE "[^x]" "" setup "${setup}")
+  string(LENGTH "${setup}" setup_requests)
+  while(setup_requests GREATER 0)
+    string(FIND "${actual}" "\n" eol)
+    if(eol EQUAL -1)
+      message(FATAL_ERROR "wrpt_cli serve answered fewer responses than "
+                          "${SETUP} has requests")
+    endif()
+    math(EXPR eol "${eol} + 1")
+    string(SUBSTRING "${actual}" ${eol} -1 actual)
+    math(EXPR setup_requests "${setup_requests} - 1")
+  endwhile()
 endif()
 
 string(REGEX REPLACE "\"revision\":[0-9]+" "\"revision\":0"
