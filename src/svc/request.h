@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -384,6 +385,12 @@ struct response {
                  register_circuit_response, reload_circuit_response,
                  list_circuits_response>
         payload;
+    /// A result-cache hit's wire bytes after `{"id":N` (svc/service.h):
+    /// the encoder writes `{"id":` + id + these instead of walking the
+    /// payload. Not on the wire. Whoever edits `ok` or the payload of a
+    /// response must reset this first, or the edit is not encoded. (The
+    /// initializer keeps `{id, ok, payload}` aggregates warning-free.)
+    std::shared_ptr<const std::string> hit_bytes = nullptr;
 
     response_kind kind() const {
         return static_cast<response_kind>(payload.index());

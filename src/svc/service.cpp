@@ -472,7 +472,8 @@ const service::cache_entry* service::probe_cached(const cache_locator& key) {
 }
 
 void service::insert_cached(cache_locator key, std::uint64_t cost,
-                            const batch_session::result& r) {
+                            const batch_session::result& r,
+                            std::shared_ptr<const std::string> hit_bytes) {
     // Caller holds cache_mutex_.
     const std::uint64_t seq = ++cache_sequence_;
     circuit_bucket& b = cache_[key.circuit];
@@ -499,7 +500,7 @@ void service::insert_cached(cache_locator key, std::uint64_t cost,
                          -static_cast<std::int64_t>(it->second.bytes));
         --cache_entries_;
     }
-    it->second = cache_entry{r, seq, cost};
+    it->second = cache_entry{r, std::move(hit_bytes), seq, cost};
     b.bytes += cost;
     cache_bytes_ += cost;
     tenant_bytes_add(key.circuit, static_cast<std::int64_t>(cost));
@@ -645,6 +646,19 @@ response service::to_response(std::uint64_t id,
     return out;
 }
 
+std::shared_ptr<const std::string> service::encode_hit(
+    const batch_session::result& r) {
+    // A hit's envelope after its id depends on the entry alone: the key
+    // fixes the handle, the bucket the revision, and every hit is
+    // cached:true with elapsed_ms 0.
+    static constexpr std::string_view head = "{\"id\":0";
+    std::string bytes = encode(to_response(0, r, true));
+    require(bytes.starts_with(head),
+            "service: a response must encode its id first");
+    bytes.erase(0, head.size());
+    return std::make_shared<const std::string>(std::move(bytes));
+}
+
 namespace {
 
 /// A job by reference (a job_ref), and a job_request copy of one.
@@ -753,6 +767,7 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
         if (const cache_entry* hit = probe_cached(keys[i])) {
             ++cache_hits_;
             out[i] = to_response(id, hit->result, true);
+            out[i].hit_bytes = hit->hit_bytes;
             continue;
         }
         const auto [slot, fresh] = leaders.try_emplace(
@@ -787,9 +802,13 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
             }
         }
         std::vector<std::uint64_t> costs(to_run.size());
-        for (std::size_t k = 0; k < to_run.size(); ++k)
-            if (computed[k])
-                costs[k] = entry_cost(ref_of(to_run[k]), results[k]);
+        std::vector<std::shared_ptr<const std::string>> hit_bytes(
+            to_run.size());
+        for (std::size_t k = 0; k < to_run.size(); ++k) {
+            if (!computed[k]) continue;
+            costs[k] = entry_cost(ref_of(to_run[k]), results[k]);
+            hit_bytes[k] = encode_hit(results[k]);
+        }
         lock_guard cache_lock(cache_mutex_);
         for (std::size_t k = 0; k < to_run.size(); ++k) {
             if (!computed[k]) {
@@ -804,11 +823,13 @@ std::vector<response> service::run_jobs_locked(std::uint64_t id,
             // The first job with this key is the miss that computed; any
             // duplicates in the same batch are answered from its entry.
             ++cache_misses_;
-            insert_cached(keys[owners[k].front()], costs[k], results[k]);
+            insert_cached(keys[owners[k].front()], costs[k], results[k],
+                          hit_bytes[k]);
             out[owners[k].front()] = to_response(id, results[k], false);
             for (std::size_t d = 1; d < owners[k].size(); ++d) {
                 ++cache_hits_;
                 out[owners[k][d]] = to_response(id, results[k], true);
+                out[owners[k][d]].hit_bytes = hit_bytes[k];
             }
         }
     }

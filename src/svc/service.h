@@ -20,11 +20,17 @@
 // entries of its own circuit. A re-stamped handle (new revision) orphans
 // its whole bucket at once. All three job kinds are deterministic given
 // their key (the bit-identity invariants of the pipeline and the seeded
-// simulator), so a hit replays the stored result unchanged;
-// probe/hit/miss/eviction/bytes counters are served by the stats
-// request. An entry is charged the length of its job's normalized
-// canonical wire encoding (computed on insert, so the binary key does not
-// move the byte counters or quotas).
+// simulator), so a hit replays the stored result and its stored bytes:
+// everything a hit's envelope carries after `{"id":N` is fixed by the
+// entry (the key fixes the handle, the bucket the revision, and a hit is
+// always cached with elapsed_ms 0), so each entry is encoded once, outside
+// the cache lock before insertion, and every hit — single, matrix entry or
+// in-batch duplicate — shares those bytes through response::hit_bytes
+// (the typed payload is still filled in). probe/hit/miss/eviction/bytes
+// counters are served by the stats request. An entry is charged the
+// length of its job's normalized canonical wire encoding (computed on
+// insert, so the binary key does not move the byte counters or quotas);
+// the hit bytes it also holds are not charged.
 //
 // Every request is answered with a response envelope: failures
 // (unknown circuit handles, malformed weights, non-finite values) become
@@ -155,6 +161,9 @@ private:
 
     struct cache_entry {
         batch_session::result result;
+        /// What every hit on this entry encodes to after `{"id":N`
+        /// (response::hit_bytes), encoded once, before insertion.
+        std::shared_ptr<const std::string> hit_bytes;
         std::uint64_t sequence = 0;  ///< insertion order, for eviction
         std::uint64_t bytes = 0;     ///< entry_cost at insertion
     };
@@ -219,7 +228,8 @@ private:
     const cache_entry* probe_cached(const cache_locator& key)
         WRPT_REQUIRES(cache_mutex_);
     void insert_cached(cache_locator key, std::uint64_t cost,
-                       const batch_session::result& r)
+                       const batch_session::result& r,
+                       std::shared_ptr<const std::string> hit_bytes)
         WRPT_REQUIRES(cache_mutex_);
     /// Attribute `delta` cache bytes to the tenant owning `circuit` (a
     /// no-op for handle-loaded circuits outside the registry).
@@ -231,6 +241,10 @@ private:
         WRPT_REQUIRES(cache_mutex_);
     static response to_response(std::uint64_t id,
                                 const batch_session::result& r, bool cached);
+    /// The hit bytes of a cache entry holding `r`: its cached response's
+    /// canonical encoding without the leading `{"id":0`.
+    static std::shared_ptr<const std::string> encode_hit(
+        const batch_session::result& r);
 
     options options_;
 

@@ -105,6 +105,13 @@ public:
                 value(e);
             }
             out_.push_back(']');
+        } else if constexpr (std::is_same_v<T, response>) {
+            if (!m.hit_bytes)
+                return object([&](encoder& inner) { fields(m, inner); });
+            // A cache hit: everything after the id is the entry's.
+            out_.append("{\"id\":", 6);
+            put_number(out_, m.id);
+            out_.append(*m.hit_bytes);
         } else {
             object([&](encoder& inner) { fields(m, inner); });
         }

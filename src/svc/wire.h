@@ -12,6 +12,12 @@
 // (std::to_chars) — so encode(decode(encode(x))) == encode(x) byte for
 // byte, and weight vectors survive the trip losslessly.
 //
+// One exception to the walk: a response that carries `hit_bytes` (a
+// result-cache hit, svc/service.h) is written as `{"id":` + its id + those
+// stored bytes — the same bytes the walk would write, encoded once when
+// the entry was inserted. This holds for encode, encode_into and the
+// entries of a matrix response alike.
+//
 // The decoder is tolerant of unknown fields (they are skipped, so newer
 // clients can talk to older servers) but strict about values: malformed
 // JSON, wrongly typed values, integers out of their member's range,

@@ -89,6 +89,7 @@ const std::string& error_code(const response& r) {
 // same netlist text compare bit-identical through the canonical encoder.
 std::string normalized(const response& r) {
     response c = r;
+    c.hit_bytes.reset();  // the edits below must reach the encoder
     c.id = 0;
     if (auto* p = std::get_if<test_length_response>(&c.payload)) {
         p->revision = 0;

@@ -2,7 +2,8 @@
 // every request/response kind (including error envelopes, NaN/inf
 // rejection and unknown-field tolerance), the service facade's result
 // cache (hits asserted via the stats request, bit-identity against
-// direct batch_session calls), and the evict request.
+// direct batch_session calls), the stored bytes cache hits are encoded
+// from, and the evict request.
 
 #include "svc/service.h"
 
@@ -16,6 +17,7 @@
 #include "exec/batch_session.h"
 #include "exec/engine_pool.h"
 #include "gen/comparator.h"
+#include "gen/sharded.h"
 #include "io/bench_io.h"
 #include "svc/schema.h"
 #include "svc/wire.h"
@@ -588,6 +590,28 @@ TEST(wire, extract_id_recovers_ids_from_broken_lines) {
     EXPECT_EQ(extract_id(R"({"req":"stats","id":41})"), 41u);
     EXPECT_EQ(extract_id(R"({"req":"optimize","id":7,"truncated)"), 7u);
     EXPECT_EQ(extract_id("garbage"), 0u);
+}
+
+TEST(wire, a_response_with_hit_bytes_is_written_from_them) {
+    // The stored bytes win over the payload: whoever edits a hit's payload
+    // must drop them first.
+    response r;
+    r.id = 42;
+    r.payload = evict_response{1, 2};
+    r.hit_bytes = std::make_shared<const std::string>(",\"stored\":true}");
+    EXPECT_EQ(encode(r), R"({"id":42,"stored":true})");
+    matrix_response m;
+    m.results = {r, r};
+    m.results[1].hit_bytes.reset();
+    response outer;
+    outer.id = 7;
+    outer.payload = std::move(m);
+    std::string out;
+    encode_into(outer, out);
+    EXPECT_EQ(out, R"({"id":7,"ok":true,"resp":"matrix","results":[)"
+                   R"({"id":42,"stored":true},)"
+                   R"({"id":42,"ok":true,"resp":"evict","cache_entries":1,)"
+                   R"("engines":2}]})");
 }
 
 // --- service facade ---------------------------------------------------------
@@ -1395,6 +1419,221 @@ TEST(service, orphaned_buckets_count_each_evicted_entry_exactly_once) {
     EXPECT_EQ(st.cache_evictions, evictions + 1);
     EXPECT_EQ(st.cache_entries, 0u);
     EXPECT_GE(st.cache_evictions, evictions);
+}
+
+// --- stored hit bytes -------------------------------------------------------
+
+/// The encoding of `r` by the schema walk: every stored hit byte dropped,
+/// the matrix entries' too.
+std::string walked_encoding(response r) {
+    r.hit_bytes.reset();
+    if (auto* m = std::get_if<matrix_response>(&r.payload))
+        for (response& e : m->results) e.hit_bytes.reset();
+    return encode(r);
+}
+
+bool is_cached(const response& r) {
+    return std::visit(
+        [](const auto& p) {
+            if constexpr (requires { p.cached; }) return p.cached;
+            else return false;
+        },
+        r.payload);
+}
+
+/// `r` is a hit answered from stored bytes, and those bytes are exactly
+/// what the encoder's walk writes for it — through encode, encode_into and
+/// a decode round trip alike.
+void expect_stored_hit(const response& r, std::uint64_t id) {
+    ASSERT_TRUE(r.ok);
+    EXPECT_TRUE(is_cached(r));
+    ASSERT_TRUE(r.hit_bytes) << "a cache hit must carry its stored bytes";
+    EXPECT_EQ(r.id, id);
+    const std::string bytes = encode(r);
+    EXPECT_EQ(bytes, walked_encoding(r));
+    std::string reused = "stale bytes of an earlier response";
+    encode_into(r, reused);
+    EXPECT_EQ(reused, bytes);
+    const response back = decode_response(bytes);
+    EXPECT_EQ(back.id, id);
+    EXPECT_EQ(encode(back), bytes);
+}
+
+/// One job of `kind`, by handle or (when `name` is set) by name; `variant`
+/// picks its options, so each variant is a distinct cache entry.
+request single_job(job_kind kind, std::uint64_t id, std::size_t circuit,
+                   const std::string& name, unsigned variant) {
+    request q;
+    q.id = id;
+    switch (kind) {
+        case job_kind::test_length: {
+            test_length_request p;
+            p.circuit = circuit;
+            p.name = name;
+            p.confidence = 0.9 + 0.01 * variant;
+            q.payload = p;
+            break;
+        }
+        case job_kind::optimize: {
+            optimize_request p;
+            p.circuit = circuit;
+            p.name = name;
+            p.options.max_sweeps = 1 + variant;
+            q.payload = p;
+            break;
+        }
+        case job_kind::fault_sim: {
+            fault_sim_request p;
+            p.circuit = circuit;
+            p.name = name;
+            p.patterns = 256;
+            p.seed = 1 + variant;
+            q.payload = p;
+            break;
+        }
+    }
+    return q;
+}
+
+/// The matrix spelling of single_job(kind, id, circuit, "", variant), its
+/// one job `copies` times over.
+request matrix_job(job_kind kind, std::uint64_t id, std::size_t circuit,
+                   unsigned variant, std::size_t copies) {
+    request q;
+    q.id = id;
+    matrix_request m;
+    m.kind = kind;
+    m.circuits = {circuit};
+    m.weight_sets.assign(copies, weight_vector{});
+    m.confidence = 0.9 + 0.01 * variant;
+    m.options.max_sweeps = 1 + variant;
+    m.patterns = 256;
+    m.seed = 1 + variant;
+    q.payload = std::move(m);
+    return q;
+}
+
+std::size_t circuit_of(const response& r) {
+    return std::visit(
+        [](const auto& p) -> std::size_t {
+            if constexpr (requires { p.circuit; }) return p.circuit;
+            else return 0;
+        },
+        r.payload);
+}
+
+request register_request(const std::string& name, const std::string& suite,
+                         const std::string& bench) {
+    request q;
+    register_circuit_request p;
+    p.tenant = "t";
+    p.name = name;
+    p.suite = suite;
+    p.bench = bench;
+    q.payload = std::move(p);
+    return q;
+}
+
+TEST(service, hit_bytes_equal_the_encoder) {
+    service s;
+    ASSERT_TRUE(s.handle(register_request("s1", "S1", "")).ok);
+    ASSERT_TRUE(s.handle(register_request(
+                    "sharded", "",
+                    write_bench_string(make_sharded_comparators(8, 4))))
+                    .ok);
+    const std::uint64_t ids[] = {0, 9,
+                                 std::numeric_limits<std::uint64_t>::max()};
+    for (const std::string name : {"t/s1", "t/sharded"}) {
+        for (const job_kind kind :
+             {job_kind::test_length, job_kind::optimize, job_kind::fault_sim}) {
+            SCOPED_TRACE(name + " " +
+                         std::string(job_kinds.names[std::size_t(kind)]));
+            // The named spelling computes first (it also compiles the
+            // view); a miss is encoded by the walk.
+            const response miss = s.handle(single_job(kind, 1, 0, name, 0));
+            ASSERT_TRUE(miss.ok);
+            EXPECT_FALSE(is_cached(miss));
+            EXPECT_FALSE(miss.hit_bytes);
+            const std::size_t handle = circuit_of(miss);
+            for (unsigned v = 0; v < std::size(ids); ++v) {
+                const std::uint64_t id = ids[v];
+                SCOPED_TRACE("id " + std::to_string(id));
+                expect_stored_hit(s.handle(single_job(kind, id, handle, "", 0)),
+                                  id);
+                expect_stored_hit(s.handle(single_job(kind, id, 0, name, 0)),
+                                  id);
+
+                const response m = s.handle(matrix_job(kind, id, handle, 0, 1));
+                ASSERT_TRUE(m.ok);
+                const auto& entries = std::get<matrix_response>(m.payload);
+                ASSERT_EQ(entries.results.size(), 1u);
+                expect_stored_hit(entries.results[0], id);
+                EXPECT_EQ(encode(m), walked_encoding(m));
+
+                // A fresh variant twice in one matrix: the first computes,
+                // the second is answered from the first's stored bytes.
+                const response d =
+                    s.handle(matrix_job(kind, id, handle, v + 1, 2));
+                ASSERT_TRUE(d.ok);
+                const auto& pair = std::get<matrix_response>(d.payload);
+                ASSERT_EQ(pair.results.size(), 2u);
+                EXPECT_FALSE(pair.results[0].hit_bytes);
+                EXPECT_FALSE(is_cached(pair.results[0]));
+                expect_stored_hit(pair.results[1], id);
+                const std::string bytes = encode(d);
+                EXPECT_EQ(bytes, walked_encoding(d));
+                EXPECT_EQ(encode(decode_response(bytes)), bytes);
+            }
+        }
+    }
+}
+
+TEST(service, hit_bytes_carry_the_reloaded_revision) {
+    service s;
+    const std::string bench =
+        write_bench_string(make_cascaded_comparator(2, "reloaded"));
+    ASSERT_TRUE(s.handle(register_request("reloaded", "", bench)).ok);
+    const request q = single_job(job_kind::test_length, 5, 0, "t/reloaded", 0);
+    ASSERT_TRUE(s.handle(q).ok);
+    const response before = s.handle(q);
+    expect_stored_hit(before, 5);
+    const std::uint64_t old_revision =
+        std::get<test_length_response>(before.payload).revision;
+
+    request rel;
+    reload_circuit_request lp;
+    lp.tenant = "t";
+    lp.name = "reloaded";
+    lp.bench = bench;
+    rel.payload = std::move(lp);
+    const response reloaded = s.handle(rel);
+    ASSERT_TRUE(reloaded.ok);
+    const std::uint64_t revision =
+        std::get<reload_circuit_response>(reloaded.payload).revision;
+    ASSERT_NE(revision, old_revision);
+
+    // The same query now misses, and its hits carry the new revision in
+    // their bytes — never the orphaned bucket's.
+    const response miss = s.handle(q);
+    ASSERT_TRUE(miss.ok);
+    EXPECT_FALSE(miss.hit_bytes);
+    const response after = s.handle(q);
+    expect_stored_hit(after, 5);
+    EXPECT_NE(after.hit_bytes, before.hit_bytes);
+    EXPECT_EQ(std::get<test_length_response>(after.payload).revision,
+              revision);
+    // Same netlist text, so apart from the revision the bytes are those
+    // of the hit before the reload.
+    const std::string stamp_before =
+        "\"revision\":" + std::to_string(old_revision) + ",";
+    const std::string stamp = "\"revision\":" + std::to_string(revision) + ",";
+    const std::string bytes = encode(after);
+    EXPECT_EQ(bytes.find(stamp_before), std::string::npos);
+    std::string expected = encode(before);
+    const std::size_t at = expected.find(stamp_before);
+    ASSERT_NE(at, std::string::npos);
+    expected.replace(at, stamp_before.size(), stamp);
+    EXPECT_EQ(bytes, expected);
 }
 
 }  // namespace
