@@ -523,6 +523,7 @@ int cmd_serve(const cli_options& opt) {
     svc::service service(so);
 
     std::string line;
+    std::string out;  // reused, like a socket worker's scratch buffer
     while (std::getline(*in, line)) {
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
         svc::response r;
@@ -534,9 +535,9 @@ int cmd_serve(const cli_options& opt) {
         } catch (const std::exception& e) {
             r = svc::make_error(svc::extract_id(line), e.what());
         }
-        const std::string encoded = svc::encode(r);
-        std::fwrite(encoded.data(), 1, encoded.size(), stdout);
-        std::fputc('\n', stdout);
+        svc::encode_into(r, out);
+        out.push_back('\n');
+        std::fwrite(out.data(), 1, out.size(), stdout);
         std::fflush(stdout);
         if (shutdown) break;
     }
