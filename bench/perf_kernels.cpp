@@ -13,11 +13,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/simd.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "opt/normalize.h"
-#include "prob/signal_prob.h"
 #include "gen/sharded.h"
 #include "gen/suite.h"
 #include "io/weights_io.h"
@@ -266,15 +264,14 @@ void bm_serve_socket(benchmark::State& state, const std::string& name,
     state.counters["cache_misses"] = static_cast<double>(cc.misses);
 }
 
-// --- vectorized-kernel rows (BENCH_kernels.json) ----------------------------
+// --- parallel SORT rows (BENCH_kernels.json) --------------------------------
 //
-// Each row measures one kernel in its production configuration and
-// carries a speedup counter against its in-process reference — scalar
-// dispatch for the SIMD kernels, one thread for the parallel ones. The
+// Each row measures the kernel in its production configuration and
+// carries a speedup counter against its one-thread reference. The
 // reference is timed inline (fixed reps, steady clock), so the ratio
-// lands in the JSON even where the hardware caps the win; results are
-// bit-identical between the variants by the test_simd equivalence suite,
-// only the wall clock may move.
+// lands in the JSON even where the hardware caps the win; the order is
+// identical for every thread count (test_exec asserts it), only the wall
+// clock may move.
 
 template <class F>
 double seconds_for(F&& fn, int reps) {
@@ -282,62 +279,6 @@ double seconds_for(F&& fn, int reps) {
     for (int i = 0; i < reps; ++i) fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Full COP forward sweep (signal probabilities) over a lane-grouped
-/// view: vector dispatch vs forced-scalar reference.
-void bm_cop_sweep_simd(benchmark::State& state, const std::string& name) {
-    const netlist nl = build_sweep_circuit(name);
-    circuit_view::compile_options co;
-    co.lane_groups = true;
-    const circuit_view cv = circuit_view::compile(nl, co);
-    const weight_vector w = uniform_weights(nl);
-    for (auto _ : state) {
-        auto p = cop_signal_probabilities(cv, w);
-        benchmark::DoNotOptimize(p.data());
-    }
-    const int reps = 20;
-    simd::set_force_scalar(true);
-    const double t_scalar =
-        seconds_for([&] { cop_signal_probabilities(cv, w); }, reps);
-    simd::set_force_scalar(false);
-    const double t_vec =
-        seconds_for([&] { cop_signal_probabilities(cv, w); }, reps);
-    const simd::isa active = simd::active_isa();
-    state.SetLabel(simd::isa_name(active));
-    state.counters["lanes"] = static_cast<double>(simd::lane_width(active));
-    state.counters["gates"] =
-        static_cast<double>(nl.node_count() - nl.input_count());
-    state.counters["speedup_vs_scalar"] = t_vec > 0.0 ? t_scalar / t_vec : 0.0;
-}
-
-/// Batched objective terms exp(-p_i * N): the NORMALIZE inner kernel on
-/// a synthetic sorted probability vector, vs forced-scalar reference.
-void bm_normalize_exp_simd(benchmark::State& state, std::size_t terms) {
-    std::vector<double> probs(terms);
-    for (std::size_t i = 0; i < terms; ++i)
-        probs[i] = 1e-6 + 1e-3 * static_cast<double>(i + 1) /
-                              static_cast<double>(terms);
-    std::vector<double> out(terms);
-    const double m = 52384.0;
-    for (auto _ : state) {
-        simd::exp_neg_scale(probs.data(), m, out.data(), terms);
-        benchmark::DoNotOptimize(out.data());
-    }
-    const int reps = 50;
-    simd::set_force_scalar(true);
-    const double t_scalar = seconds_for(
-        [&] { simd::exp_neg_scale(probs.data(), m, out.data(), terms); },
-        reps);
-    simd::set_force_scalar(false);
-    const double t_vec = seconds_for(
-        [&] { simd::exp_neg_scale(probs.data(), m, out.data(), terms); },
-        reps);
-    const simd::isa active = simd::active_isa();
-    state.SetLabel(simd::isa_name(active));
-    state.counters["lanes"] = static_cast<double>(simd::lane_width(active));
-    state.counters["terms"] = static_cast<double>(terms);
-    state.counters["speedup_vs_scalar"] = t_vec > 0.0 ? t_scalar / t_vec : 0.0;
 }
 
 /// Deterministic parallel fault SORT on `threads` pool workers vs the
@@ -446,16 +387,7 @@ BENCHMARK_CAPTURE(bm_serve_socket, S1_c8_uncached, std::string("S1"), 8,
                   false)
     ->Unit(benchmark::kMicrosecond)->UseRealTime();
 
-// The vectorized-kernel rows for BENCH_kernels.json: vector vs scalar
-// on the largest gen/ circuit (sharded) plus a deep ISCAS shape, the
-// NORMALIZE exp kernel at optimizer-scale term counts, and the parallel
-// SORT at 1/2/8 threads.
-BENCHMARK_CAPTURE(bm_cop_sweep_simd, sharded, std::string("sharded"))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_cop_sweep_simd, c7552, std::string("c7552"))
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(bm_normalize_exp_simd, t64k, std::size_t{1} << 16)
-    ->Unit(benchmark::kMicrosecond);
+// The parallel SORT rows for BENCH_kernels.json, at 1/2/8 threads.
 BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t1, std::size_t{1} << 20, 1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(bm_sort_faults_parallel, f1m_t2, std::size_t{1} << 20, 2)

@@ -1,9 +1,7 @@
 #include "core/circuit_view.h"
 
 #include <algorithm>
-#include <utility>
 
-#include "util/dense_map.h"
 #include "util/error.h"
 
 namespace wrpt {
@@ -128,49 +126,6 @@ circuit_view circuit_view::compile(const netlist& nl,
             }
             cv.cone_offset_[i + 1] =
                 static_cast<std::uint32_t>(cv.cone_pool_.size());
-        }
-    }
-
-    if (options.lane_groups) {
-        // Group each level bucket by (kind, arity), packed into one small
-        // dense shape code `kind * (max_arity + 1) + arity`. The code
-        // universe is tiny (#kinds * (max_arity + 1)), so reserve_array
-        // pins every probe to the direct-index path, and dense_map's
-        // ascending-key iteration reproduces the (kind, arity)
-        // lexicographic order the std::map-based builder emitted — the
-        // grouping stays bit-identical. The bucket scan keeps node order
-        // ascending within a group.
-        cv.lane_groups_built_ = true;
-        cv.lane_node_pool_.reserve(n);
-        const std::uint64_t shape_span =
-            static_cast<std::uint64_t>(cv.max_arity_) + 1;
-        util::dense_map<std::vector<node_id>> by_shape;
-        by_shape.reserve_array(
-            (static_cast<std::uint64_t>(gate_kind::xnor_) + 1) * shape_span);
-        for (std::size_t l = 0; l <= cv.depth_; ++l) {
-            by_shape.clear();
-            for (node_id id : cv.nodes_at_level(l))
-                by_shape[static_cast<std::uint64_t>(cv.kind_[id]) * shape_span +
-                         cv.fanin_count(id)]
-                    .push_back(id);
-            by_shape.for_each([&](std::uint64_t code,
-                                  const std::vector<node_id>& nodes) {
-                lane_group g;
-                g.kind = static_cast<gate_kind>(code / shape_span);
-                g.arity = static_cast<std::uint32_t>(code % shape_span);
-                g.offset = static_cast<std::uint32_t>(cv.lane_node_pool_.size());
-                g.count = static_cast<std::uint32_t>(nodes.size());
-                g.args_offset =
-                    static_cast<std::uint32_t>(cv.lane_args_pool_.size());
-                cv.lane_node_pool_.insert(cv.lane_node_pool_.end(),
-                                          nodes.begin(), nodes.end());
-                // k-major gather matrix: all lanes of fanin pin 0, then
-                // pin 1, ... — unit-stride index loads in the kernel.
-                for (std::uint32_t k = 0; k < g.arity; ++k)
-                    for (node_id id : nodes)
-                        cv.lane_args_pool_.push_back(cv.fanins(id)[k]);
-                cv.lane_group_.push_back(g);
-            });
         }
     }
 

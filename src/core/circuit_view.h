@@ -37,12 +37,6 @@ public:
         /// backward sweeps (the incremental engine); throwaway simulator
         /// views skip it.
         bool driven_pins = false;
-        /// Precompute the lane-blocked level groups (same level, same
-        /// kind, same arity) plus the k-major fanin gather matrix that
-        /// the vectorized COP forward sweep consumes. Worth it for views
-        /// the probability analyses sweep repeatedly; throwaway simulator
-        /// views skip it.
-        bool lane_groups = false;
     };
 
     /// Compile a view of `nl`. The netlist must outlive the view and stay
@@ -141,38 +135,6 @@ public:
     /// (= topological) order. Requires compile_options::input_cones.
     std::span<const node_id> input_cone(std::size_t input_idx) const;
 
-    // --- lane-blocked level groups ----------------------------------------
-    //
-    // Nodes of one level bucket regrouped by (kind, arity): every node in
-    // a group evaluates the same gate function over the same number of
-    // fanins, and all its fanins live at strictly lower levels — so a
-    // vector kernel can evaluate `lane_width` group members per
-    // instruction, gathering fanin k of lanes j..j+L-1 from the k-major
-    // index matrix. Group order (levels ascending, (kind, arity) sorted
-    // within a level) and the ascending node order inside a group are
-    // deterministic; evaluation order across groups of one level is
-    // immaterial because intra-level nodes never feed each other.
-
-    struct lane_group {
-        gate_kind kind;
-        std::uint32_t arity;
-        std::uint32_t offset;       ///< into lane_nodes()
-        std::uint32_t count;        ///< nodes in the group
-        std::uint32_t args_offset;  ///< into the gather-index pool
-    };
-
-    bool has_lane_groups() const { return lane_groups_built_; }
-    std::span<const lane_group> lane_groups() const { return lane_group_; }
-    /// The group's nodes, ascending node id.
-    const node_id* lane_nodes(const lane_group& g) const {
-        return lane_node_pool_.data() + g.offset;
-    }
-    /// The group's fanin gather indices, k-major: entry [k * count + j]
-    /// is fanin pin k of the group's j-th node (a global node id).
-    const std::uint32_t* lane_args(const lane_group& g) const {
-        return lane_args_pool_.data() + g.args_offset;
-    }
-
 private:
     static constexpr std::uint32_t no_index = 0xffffffffu;
 
@@ -196,11 +158,6 @@ private:
 
     std::vector<std::uint32_t> cone_offset_;    // size input_count + 1
     std::vector<node_id> cone_pool_;
-
-    bool lane_groups_built_ = false;
-    std::vector<lane_group> lane_group_;
-    std::vector<node_id> lane_node_pool_;
-    std::vector<std::uint32_t> lane_args_pool_;
 
     std::size_t depth_ = 0;
     std::size_t max_arity_ = 0;

@@ -23,7 +23,6 @@ batch_session::compiled_circuit batch_session::compile(netlist nl) const {
     circuit_view::compile_options co;
     co.input_cones = true;
     co.driven_pins = true;
-    co.lane_groups = true;
     cc.view = std::make_unique<circuit_view>(
         circuit_view::compile(*cc.nl, co));
     cc.faults = generate_full_faults(*cc.nl);
@@ -93,14 +92,8 @@ const std::vector<fault>& batch_session::faults(std::size_t handle) const {
     return at(handle).faults;
 }
 
-const engine_pool& batch_session::pool(std::size_t handle) const {
+engine_pool& batch_session::pool(std::size_t handle) const {
     return *at(handle).pool;
-}
-
-engine_pool& batch_session::pool(std::size_t handle) {
-    compiled_circuit* cc = circuits_.find(handle);
-    require(cc != nullptr, "batch_session: bad circuit handle");
-    return *cc->pool;
 }
 
 batch_session::result batch_session::run_one(const svc::job_request& j) const {

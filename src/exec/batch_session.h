@@ -101,10 +101,11 @@ public:
     const std::vector<fault>& faults(std::size_t handle) const;
     /// The circuit's warm engine pool (shared by every job working it;
     /// stats() exposes the cross-run hit/miss/eviction counters). The
-    /// non-const overload allows capacity changes and explicit eviction
-    /// (svc::service's evict request rides it).
-    const engine_pool& pool(std::size_t handle) const;
-    engine_pool& pool(std::size_t handle);
+    /// pool is internally synchronized, so capacity changes and explicit
+    /// eviction (svc::service's evict request) go through this const
+    /// accessor too: its lookup is count-free, which keeps concurrent
+    /// stats and evict requests under a shared session lock race-free.
+    engine_pool& pool(std::size_t handle) const;
 
     /// The job vocabulary is the typed request layer (svc/request.h):
     /// svc::job_request — test_length_request, optimize_request or

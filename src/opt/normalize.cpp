@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "core/simd.h"
 #include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "util/error.h"
@@ -46,12 +45,12 @@ struct term_window {
             exec->pool->parallel_for(blocks, [&](std::size_t b) {
                 const std::size_t s = begin + b * shard;
                 const std::size_t e = std::min(s + shard, target);
-                simd::exp_neg_scale(sorted.data() + s, m, terms.data() + s,
-                                    e - s);
+                for (std::size_t i = s; i < e; ++i)
+                    terms[i] = std::exp(-sorted[i] * m);
             });
         } else {
-            simd::exp_neg_scale(sorted.data() + begin, m,
-                                terms.data() + begin, count);
+            for (std::size_t i = begin; i < target; ++i)
+                terms[i] = std::exp(-sorted[i] * m);
         }
         ready = target;
     }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/simd.h"
 #include "util/error.h"
 
 namespace wrpt {
@@ -20,22 +19,8 @@ double q_to_confidence(double q) {
 
 double objective_jn(std::span<const double> detection_probs, double n) {
     require(n >= 0.0, "objective_jn: negative test length");
-    // Terms batched through the lane-blocked evaluator, summed in the
-    // same left-to-right element order as the plain loop. (-n * p and
-    // the evaluator's -p * n round identically: negation is exact and
-    // IEEE multiplication commutes.)
-    constexpr std::size_t block = 256;
-    double terms[block];
     double j = 0.0;
-    const double* p = detection_probs.data();
-    std::size_t left = detection_probs.size();
-    while (left > 0) {
-        const std::size_t c = left < block ? left : block;
-        simd::exp_neg_scale(p, n, terms, c);
-        for (std::size_t i = 0; i < c; ++i) j += terms[i];
-        p += c;
-        left -= c;
-    }
+    for (double p : detection_probs) j += std::exp(-p * n);
     return j;
 }
 

@@ -56,7 +56,6 @@ const circuit_view& cop_detect_estimator::ensure_view(const netlist& nl,
         circuit_view::compile_options co;
         co.input_cones = engine_structures;
         co.driven_pins = engine_structures;
-        co.lane_groups = true;
         view_ = std::make_unique<circuit_view>(circuit_view::compile(nl, co));
         cached_revision_ = nl.revision();
     }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "prob/cop_kernels.h"
 #include "prob/cop_rules.h"
 #include "sim/logic_sim.h"
 #include "util/error.h"
@@ -14,14 +13,9 @@ std::vector<double> cop_signal_probabilities(const circuit_view& cv,
     require(weights.size() == cv.input_count(),
             "cop_signal_probabilities: weight count mismatch");
     std::vector<double> p(cv.node_count(), 0.0);
-    // Lane-blocked sweep when the view precompiled lane groups and a
-    // vector ISA is active; the scalar forward sweep is the reference
-    // (and the fallback), bit-identical by construction.
-    if (!cop::forward_sweep_vectorized(cv, weights, p)) {
-        forward_sweep(cv, [&](node_id n) {
-            p[n] = cop::node_probability(cv, p, weights, n);
-        });
-    }
+    forward_sweep(cv, [&](node_id n) {
+        p[n] = cop::node_probability(cv, p, weights, n);
+    });
     return p;
 }
 

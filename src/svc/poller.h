@@ -9,10 +9,9 @@
 // identical (level-triggered: a fd with unread input or writable buffer
 // space reports ready on every wait until the condition clears).
 //
-// Both backends compile on Linux, and a global force-poll switch mirrors
-// the compute kernels' force-scalar switch (core/simd.h): the
+// Both backends compile on Linux. A global force-poll switch (the
 // WRPT_FORCE_POLL environment variable at startup, or set_force_poll()
-// from code, makes subsequently constructed pollers use the portable
+// from code) makes subsequently constructed pollers use the portable
 // poll(2) backend — how CI exercises the fallback path on Linux without
 // a second platform. Building with -DWRPT_FORCE_POLL (a CMake option)
 // compiles the epoll backend out entirely.

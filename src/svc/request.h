@@ -311,9 +311,9 @@ struct stats_response {
     std::uint64_t cache_evictions = 0;
     std::uint64_t cache_bytes = 0;    ///< approximate retained bytes
     std::size_t circuits = 0;
-    /// Active compute-kernel dispatch (core/simd.h): ISA name and vector
-    /// lane width, so remote clients can attribute timings to the
-    /// hardware the daemon runs on.
+    /// Compute-kernel ISA name and vector lane width. The kernels are
+    /// scalar, so a service always reports "scalar" / 1; the fields stay
+    /// because clients that stamp their timings decode them.
     std::string simd_isa;
     std::size_t simd_lanes = 0;
     std::vector<pool_stats_payload> pools;

@@ -6,7 +6,6 @@
 #include <map>
 #include <utility>
 
-#include "core/simd.h"
 #include "exec/engine_pool.h"
 #include "gen/suite.h"
 #include "io/bench_io.h"
@@ -214,9 +213,8 @@ response service::handle_stats(std::uint64_t id) {
         tenant_bytes = tenant_bytes_;
     }
     out.circuits = session_->circuit_count();
-    const simd::isa active = simd::active_isa();
-    out.simd_isa = simd::isa_name(active);
-    out.simd_lanes = simd::lane_width(active);
+    out.simd_isa = "scalar";
+    out.simd_lanes = 1;
     if (rc.circuits > 0) {
         const registry::tenant_quota& q = registry_.config().quota;
         out.registry.present = true;

@@ -33,7 +33,7 @@
 // h) for h hash-resident entries, and h == 0 in the consecutive-ID
 // common case, where iteration is a straight O(1)-per-step scan). The
 // full visit order is therefore ascending by key, deterministically —
-// the property the lane-group builder and LRU eviction scans rest on.
+// the property LRU eviction scans rest on.
 //
 // Concurrency: none built in — external synchronization like any
 // standard container. Concurrent *const* readers are safe: const find()
@@ -80,13 +80,6 @@ public:
 
     /// Upper bound (exclusive) of the directly-indexed key range.
     Key array_limit() const { return array_limit_; }
-
-    /// Pre-extend the array region to cover keys [0, limit) — for key
-    /// universes known up front (e.g. (kind, arity) shape codes), which
-    /// pins every insert to the O(1) direct-index path.
-    void reserve_array(Key limit) {
-        if (limit > array_limit_) grow_array(limit);
-    }
 
     bool contains(Key k) const { return find(k) != nullptr; }
 

@@ -2,7 +2,8 @@
 # compares the responses with a golden file byte for byte. Only the
 # legitimately volatile fields are normalized, exactly as in ci.yml's serve
 # job: revision stamps are process-unique, elapsed_ms is wall time, and
-# simd_isa/simd_lanes depend on the host.
+# simd_isa/simd_lanes (always "scalar"/1 now) map to the golden's
+# "any"/0 placeholders.
 #
 #   cmake -DCLI=<wrpt_cli> -DSESSION=<session.jsonl> -DGOLDEN=<file.golden>
 #         [-DSETUP=<setup.jsonl>] [-DACTUAL=<normalized output file>]

@@ -129,14 +129,6 @@ TEST(dense_map, clear_retains_capacity_and_resets_contents) {
     EXPECT_EQ(*m.find(5), 7);
 }
 
-TEST(dense_map, reserve_array_pins_the_direct_index_path) {
-    dense_map<int> m;
-    m.reserve_array(4096);
-    m.insert_or_assign(4000, 1);  // would have gone to hash unreserved
-    EXPECT_EQ(m.hash_size(), 0u);
-    EXPECT_EQ(*m.find(4000), 1);
-}
-
 // --- randomized mixed-operation equivalence vs std::unordered_map -----------
 
 // Key generators for the adversarial patterns.

@@ -1,9 +1,11 @@
-// Tests for the exec layer (thread_pool, batch_session) and for the
-// batched probe path's core guarantee: parallel PREPARE is bit-identical
-// to the sequential path for every thread count.
+// Tests for the exec layer (thread_pool, the deterministic parallel
+// sort, batch_session) and for the batched probe path's core guarantee:
+// parallel PREPARE is bit-identical to the sequential path for every
+// thread count.
 
 #include "exec/batch_session.h"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -13,12 +15,14 @@
 #include <gtest/gtest.h>
 
 #include "exec/engine_pool.h"
+#include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "gen/comparator.h"
 #include "gen/ecc.h"
 #include "gen/random_circuit.h"
 #include "gen/sharded.h"
 #include "io/bench_io.h"
+#include "opt/normalize.h"
 #include "opt/optimizer.h"
 #include "prob/detect.h"
 #include "sim/fault_sim.h"
@@ -83,6 +87,51 @@ TEST(thread_pool, submit_and_wait_idle) {
     for (int i = 0; i < 32; ++i) pool.submit([&] { ++ran; });
     pool.wait_idle();
     EXPECT_EQ(ran.load(), 32);
+}
+
+// --- deterministic parallel sort -------------------------------------------
+
+TEST(SimdSort, MatchesStableSortWithDuplicates) {
+    rng r(0x50f7);
+    std::vector<double> keys(40000);
+    for (auto& k : keys) k = static_cast<double>(r.next_below(97));
+
+    std::vector<std::size_t> want(keys.size());
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return keys[a] < keys[b];
+                     });
+
+    for (unsigned threads : {1u, 2u, 8u}) {
+        std::vector<std::size_t> got(keys.size());
+        for (std::size_t i = 0; i < got.size(); ++i) got[i] = i;
+        parallel_stable_sort_indices(
+            got,
+            [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; },
+            threads > 1 ? &shared_thread_pool() : nullptr, threads,
+            /*shard=*/512);
+        EXPECT_EQ(want, got) << threads;
+    }
+}
+
+// sort_faults' pooled overload: identical order for every thread count,
+// with duplicate probabilities and excluded p <= 0 entries in the mix.
+TEST(SimdSort, SortFaultsIdenticalAcrossThreads) {
+    rng r(0xdead);
+    std::vector<double> probs(50000);
+    for (auto& p : probs) {
+        const double d = r.next_double();
+        p = d < 0.03 ? 0.0 : static_cast<double>(r.next_below(211)) / 211.0;
+    }
+
+    const std::vector<std::size_t> want = sort_faults(probs);
+    for (unsigned threads : {1u, 2u, 8u}) {
+        normalize_exec ex;
+        ex.pool = &shared_thread_pool();
+        ex.threads = threads;
+        EXPECT_EQ(want, sort_faults(probs, ex)) << threads;
+    }
 }
 
 // --- multi-input probes / parallel PREPARE -------------------------------

@@ -497,5 +497,64 @@ TEST(registry, hot_reload_race_yields_only_whole_revision_answers) {
     EXPECT_EQ(rows[0].reloads, static_cast<std::uint64_t>(reloads));
 }
 
+// stats and evict both run under the shared session lock and read every
+// circuit's engine pool. Several threads sending them to one service at
+// once must not race (the pool lookup is count-free; CI's TSan job runs
+// this suite), and every answer must be an ok envelope.
+TEST(registry, concurrent_stats_and_evict_answer_without_racing) {
+    service::options so;
+    so.threads = 2;
+    service s(so);
+    std::vector<std::size_t> handles;
+    for (const char* name : {"a", "b"}) {
+        const response reg = s.handle(
+            make_register("t", name, tiny_bench(2, name)));
+        ASSERT_TRUE(reg.ok);
+        handles.push_back(
+            std::get<register_circuit_response>(reg.payload).circuit);
+        // A named job makes the circuit resident, with a warm pool.
+        ASSERT_TRUE(s.handle(make_named_length(std::string("t/") + name)).ok);
+    }
+
+    constexpr int kWorkers = 4;
+    const int rounds = WRPT_TSAN ? 40 : 200;
+    std::atomic<std::uint64_t> failures{0};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+            for (int i = 0; i < rounds; ++i) {
+                request q;
+                switch ((w + i) % 3) {
+                    case 0:
+                        q.payload = stats_request{};
+                        break;
+                    case 1:
+                        q.payload = evict_request{};  // all circuits
+                        break;
+                    default: {
+                        evict_request e;
+                        e.all = false;
+                        e.circuit = handles[static_cast<std::size_t>(i) %
+                                            handles.size()];
+                        q.payload = e;
+                    }
+                }
+                if (!s.handle(q).ok)
+                    failures.fetch_add(1, std::memory_order_relaxed);
+            }
+        });
+    }
+    for (std::thread& t : workers) t.join();
+    EXPECT_EQ(failures.load(), 0u);
+
+    request q;
+    q.payload = stats_request{};
+    const response r = s.handle(q);
+    ASSERT_TRUE(r.ok);
+    const auto& st = std::get<stats_response>(r.payload);
+    EXPECT_EQ(st.pools.size(), handles.size());
+    EXPECT_EQ(st.cache_entries, 0u);  // every entry was evicted
+}
+
 }  // namespace
 }  // namespace wrpt

@@ -1636,5 +1636,19 @@ TEST(service, hit_bytes_carry_the_reloaded_revision) {
     EXPECT_EQ(bytes, expected);
 }
 
+// The compute kernels are scalar; stats keeps the simd_isa/simd_lanes
+// fields on the wire and pins them to the scalar reference.
+TEST(SimdStats, StatsResponseCarriesDispatch) {
+    service s;
+    request q;
+    q.id = 1;
+    q.payload = stats_request{};
+    const response resp = s.handle(q);
+    ASSERT_TRUE(resp.ok);
+    const auto& st = std::get<stats_response>(resp.payload);
+    EXPECT_EQ(st.simd_isa, "scalar");
+    EXPECT_EQ(st.simd_lanes, 1u);
+}
+
 }  // namespace
 }  // namespace wrpt

@@ -290,6 +290,41 @@ TEST(fault_sim, suite_matches_golden) {
     }
 }
 
+// The full fault-simulation result — first_detected per fault AND
+// patterns_applied — is invariant across thread counts, including budgets
+// that are not multiples of 64 times the thread count.
+TEST(SimdFaultSim, ParallelBitIdentical) {
+    for (const char* name : {"S1", "c432"}) {
+        const netlist nl = build_suite_circuit(name);
+        const std::vector<fault> faults = generate_full_faults(nl);
+        const weight_vector w = uniform_weights(nl);
+
+        for (std::uint64_t budget : {320u, 832u}) {
+            fault_sim_options ref;
+            ref.max_patterns = budget;
+            ref.threads = 1;
+            const fault_sim_result want =
+                run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
+
+            for (unsigned threads : {1u, 2u, 8u}) {
+                fault_sim_options o = ref;
+                o.threads = threads;
+                const fault_sim_result got =
+                    run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
+                SCOPED_TRACE(std::string(name) + " t" +
+                             std::to_string(threads));
+                EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+                EXPECT_EQ(want.detected_count, got.detected_count);
+                ASSERT_EQ(want.first_detected.size(),
+                          got.first_detected.size());
+                for (std::size_t i = 0; i < want.first_detected.size(); ++i)
+                    ASSERT_EQ(want.first_detected[i], got.first_detected[i])
+                        << "fault " << i;
+            }
+        }
+    }
+}
+
 TEST(patterns, explicit_source_padding_and_order) {
     std::vector<std::vector<bool>> pats{{true, false}, {false, true},
                                         {true, true}};

@@ -68,7 +68,6 @@
 #include "atpg/compact.h"
 #include "atpg/podem.h"
 #include "bist/session.h"
-#include "core/simd.h"
 #include "exec/batch_session.h"
 #include "fault/fault.h"
 #include "gen/suite.h"
@@ -447,12 +446,8 @@ int cmd_serve(const cli_options& opt) {
     so.tenant_quota = parse_tenant_quota(opt.flag("tenant-quota", ""));
 
     // Startup banner on stderr (stdout stays a pure response stream):
-    // which vector ISA the compute kernels dispatch to, so daemon logs
-    // pin down the hardware behind every timing, plus the registry caps
-    // behind every quota refusal and view eviction (0 = unbounded).
-    const simd::isa active = simd::active_isa();
-    std::fprintf(stderr, "serve: simd %s x%u\n", simd::isa_name(active),
-                 simd::lane_width(active));
+    // the registry caps behind every quota refusal and view eviction
+    // (0 = unbounded).
     std::fprintf(stderr,
                  "serve: registry max-views %zu, tenant quota %zu circuits "
                  "/ %zu engines / %llu cache bytes\n",
