@@ -107,6 +107,34 @@ std::string tiny_bench(unsigned width, const std::string& name) {
     return write_bench_string(make_cascaded_comparator(width, name));
 }
 
+request make_load(const std::string& bench) {
+    request q;
+    load_circuit_request p;
+    p.bench = bench;
+    q.payload = std::move(p);
+    return q;
+}
+
+request make_handle_length(std::size_t handle) {
+    request q;
+    test_length_request p;
+    p.circuit = handle;
+    q.payload = std::move(p);
+    return q;
+}
+
+stats_response stats_of(service& s) {
+    request q;
+    q.payload = stats_request{};
+    return std::get<stats_response>(s.handle(q).payload);
+}
+
+std::vector<catalog_entry_payload> list_of(service& s) {
+    request q;
+    q.payload = list_circuits_request{};
+    return std::get<list_circuits_response>(s.handle(q).payload).entries;
+}
+
 // --- direct registry API ----------------------------------------------------
 
 TEST(registry, direct_register_resolve_and_lazy_residency) {
@@ -333,6 +361,58 @@ TEST(registry, thousand_registrations_stay_within_max_views) {
     EXPECT_EQ(st.registry.max_views, 32u);
     EXPECT_EQ(st.registry.view_evictions, 32u);
     EXPECT_EQ(st.registry.view_rebuilds, 64u);
+}
+
+// Circuits added by load_circuit live beside the catalog: the view LRU
+// never evicts them, the catalog never lists them, and a tenant's cache
+// quota sweep never drops their results.
+TEST(registry, loaded_circuits_stay_outside_the_catalog_policy) {
+    service::options so;
+    so.max_views = 1;
+    so.tenant_quota.max_cache_bytes = 1;  // every tenant entry is swept
+    service s(so);
+    std::vector<std::size_t> loaded;
+    for (const unsigned width : {2u, 3u}) {
+        const response r = s.handle(make_load(tiny_bench(width, "load")));
+        ASSERT_TRUE(r.ok);
+        loaded.push_back(std::get<load_circuit_response>(r.payload).circuit);
+    }
+    for (const char* name : {"a", "b", "c"})
+        ASSERT_TRUE(s.handle(make_register("t", name, tiny_bench(2, name))).ok);
+
+    for (int round = 0; round < 3; ++round) {
+        for (const char* name : {"a", "b", "c"}) {
+            ASSERT_TRUE(s.handle(make_named_length(std::string("t/") + name)).ok);
+            for (const std::size_t h : loaded) {
+                const response r = s.handle(make_handle_length(h));
+                ASSERT_TRUE(r.ok);
+                // Only the very first query of each loaded circuit misses:
+                // its entry survives every tenant sweep.
+                const bool first = round == 0 && std::string(name) == "a";
+                EXPECT_EQ(std::get<test_length_response>(r.payload).cached,
+                          !first);
+            }
+            const stats_response st = stats_of(s);
+            EXPECT_EQ(st.circuits, loaded.size() + 1);
+            EXPECT_EQ(st.registry.circuits, 3u);
+            EXPECT_EQ(st.registry.resident, 1u);
+            for (const std::size_t h : loaded)
+                EXPECT_TRUE(s.session().has_circuit(h));
+        }
+    }
+
+    const stats_response st = stats_of(s);
+    EXPECT_EQ(st.registry.view_rebuilds, 9u);
+    EXPECT_EQ(st.registry.view_evictions, 8u);
+    EXPECT_EQ(st.cache_entries, loaded.size());
+    ASSERT_EQ(st.registry.tenants.size(), 1u);
+    EXPECT_EQ(st.registry.tenants[0].cache_bytes, 0u);
+    const std::vector<catalog_entry_payload> rows = list_of(s);
+    ASSERT_EQ(rows.size(), 3u);
+    for (const catalog_entry_payload& row : rows) {
+        EXPECT_EQ(row.tenant, "t");
+        for (const std::size_t h : loaded) EXPECT_NE(row.circuit, h);
+    }
 }
 
 // --- per-tenant quotas ------------------------------------------------------
