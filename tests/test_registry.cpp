@@ -294,6 +294,50 @@ TEST(registry, reload_restamps_the_revision_and_orphans_the_cache) {
     EXPECT_NE(r2.length.test_length, r1.length.test_length);
 }
 
+TEST(registry, reload_of_an_evicted_entry_compiles_nothing_until_used) {
+    service::options so;
+    so.max_views = 1;
+    service s(so);
+    ASSERT_TRUE(s.handle(make_register("t", "a", tiny_bench(2, "a"))).ok);
+    ASSERT_TRUE(s.handle(make_register("t", "b", tiny_bench(2, "b"))).ok);
+    const response first = s.handle(make_named_length("t/a"));
+    ASSERT_TRUE(first.ok);
+    const auto& r1 = std::get<test_length_response>(first.payload);
+    ASSERT_TRUE(s.handle(make_named_length("t/b")).ok);  // evicts a's view
+
+    const stats_response before = stats_of(s);
+    ASSERT_EQ(before.registry.resident, 1u);
+    const response rel = s.handle(make_reload("t", "a", tiny_bench(3, "a")));
+    ASSERT_TRUE(rel.ok);
+    const auto& rr = std::get<reload_circuit_response>(rel.payload);
+    EXPECT_EQ(rr.circuit, r1.circuit);
+    EXPECT_EQ(rr.old_revision, r1.revision);
+    EXPECT_NE(rr.revision, rr.old_revision);
+
+    // The reload swapped the netlist of a non-resident entry: nothing was
+    // compiled, so the row stays unloaded and the counters stand still.
+    const std::vector<catalog_entry_payload> rows = list_of(s);
+    ASSERT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].name, "a");
+    EXPECT_FALSE(rows[0].resident);
+    EXPECT_EQ(rows[0].revision, rr.revision);
+    const stats_response after = stats_of(s);
+    EXPECT_EQ(after.registry.view_rebuilds, before.registry.view_rebuilds);
+    EXPECT_EQ(after.registry.view_evictions, before.registry.view_evictions);
+    EXPECT_EQ(after.circuits, before.circuits);
+
+    // The next named job compiles the new netlist once, under the same
+    // handle, and misses the cache on the new revision.
+    const response second = s.handle(make_named_length("t/a"));
+    ASSERT_TRUE(second.ok);
+    const auto& r2 = std::get<test_length_response>(second.payload);
+    EXPECT_FALSE(r2.cached);
+    EXPECT_EQ(r2.circuit, r1.circuit);
+    EXPECT_EQ(r2.revision, rr.revision);
+    EXPECT_EQ(stats_of(s).registry.view_rebuilds,
+              before.registry.view_rebuilds + 1);
+}
+
 // --- view LRU ---------------------------------------------------------------
 
 TEST(registry, evicted_views_rebuild_and_revalidate_cached_results) {
