@@ -10,6 +10,22 @@
 
 namespace wrpt {
 
+struct batch_session::compiled_state {
+    compiled_state(const netlist& nl, std::size_t max_engines)
+        : view(circuit_view::compile(
+              nl, {.input_cones = true, .driven_pins = true})),
+          faults(generate_full_faults(nl)),
+          pool(view) {
+        pool.set_capacity(max_engines);
+    }
+
+    circuit_view view;  // view.source() is the row's netlist
+    std::vector<fault> faults;
+    // Warm engines over `view`, kept across run() calls; every job's
+    // estimator adopts this pool instead of growing its own.
+    engine_pool pool;
+};
+
 batch_session::batch_session() : batch_session(options{}) {}
 
 batch_session::batch_session(options opt)
@@ -17,23 +33,14 @@ batch_session::batch_session(options opt)
 
 batch_session::~batch_session() = default;
 
-batch_session::compiled_circuit batch_session::compile(netlist nl) const {
-    compiled_circuit cc;
-    cc.nl = std::make_unique<netlist>(std::move(nl));
-    circuit_view::compile_options co;
-    co.input_cones = true;
-    co.driven_pins = true;
-    cc.view = std::make_unique<circuit_view>(
-        circuit_view::compile(*cc.nl, co));
-    cc.faults = generate_full_faults(*cc.nl);
-    cc.pool = std::make_unique<engine_pool>(*cc.view);
-    cc.pool->set_capacity(options_.max_engines);
-    return cc;
-}
-
 std::size_t batch_session::add_circuit(netlist nl) {
-    const std::size_t handle = next_handle_++;
-    circuits_.try_emplace(handle, compile(std::move(nl)));
+    const std::size_t handle = add_uncompiled(std::move(nl), {});
+    try {
+        compile_circuit(handle);
+    } catch (...) {
+        circuits_.erase(handle);  // a failed compile leaves no row behind
+        throw;
+    }
     return handle;
 }
 
@@ -41,51 +48,78 @@ std::size_t batch_session::add_circuit_file(const std::string& path) {
     return add_circuit(read_bench_file(path));
 }
 
-std::uint64_t batch_session::replace_circuit(std::size_t handle, netlist nl) {
-    compiled_circuit* cc = circuits_.find(handle);
-    require(cc != nullptr, "batch_session: bad circuit handle");
-    // Compile the replacement before touching the slot so a failed parse
-    // or compile leaves the old circuit fully serviceable.
-    *cc = compile(std::move(nl));
-    return cc->nl->revision();
+std::size_t batch_session::add_uncompiled(netlist nl, std::string tenant) {
+    const std::size_t handle = circuits_.size();  // rows stay for good
+    circuit_row row;
+    row.nl = std::make_unique<netlist>(std::move(nl));
+    row.tenant = std::move(tenant);
+    circuits_.try_emplace(handle, std::move(row));
+    return handle;
+}
+
+void batch_session::compile_circuit(std::size_t handle) {
+    circuit_row& row = row_at(handle);
+    if (row.state != nullptr) return;
+    row.state = std::make_unique<compiled_state>(*row.nl, options_.max_engines);
+    ++compiled_count_;
 }
 
 void batch_session::unload_circuit(std::size_t handle) {
-    require(circuits_.erase(handle),
-            "batch_session: bad circuit handle");
+    circuit_row& row = row_at(handle);
+    require(row.state != nullptr, "batch_session: bad circuit handle");
+    row.state.reset();
+    --compiled_count_;
 }
 
-std::uint64_t batch_session::restore_circuit(std::size_t handle, netlist nl) {
-    require(handle < next_handle_ && !circuits_.contains(handle),
-            "batch_session: restore_circuit needs a retired handle");
-    circuits_.try_emplace(handle, compile(std::move(nl)));
-    return circuits_.find(handle)->nl->revision();
+std::uint64_t batch_session::replace_circuit(std::size_t handle, netlist nl) {
+    circuit_row& row = row_at(handle);
+    auto fresh = std::make_unique<netlist>(std::move(nl));
+    // Compile the replacement before touching the row so a failed compile
+    // leaves the old circuit fully serviceable. The old state goes first,
+    // while the netlist it was built from is still alive.
+    if (row.state != nullptr)
+        row.state = std::make_unique<compiled_state>(*fresh,
+                                                     options_.max_engines);
+    row.nl = std::move(fresh);
+    return row.nl->revision();
 }
 
 std::vector<std::size_t> batch_session::handles() const {
     std::vector<std::size_t> out;
-    out.reserve(circuits_.size());
-    circuits_.for_each([&](std::size_t handle, const compiled_circuit&) {
-        out.push_back(handle);  // ascending-handle iteration order
+    out.reserve(compiled_count_);
+    circuits_.for_each([&](std::size_t handle, const circuit_row& row) {
+        if (row.state != nullptr) out.push_back(handle);  // ascending order
     });
     return out;
 }
 
-const batch_session::compiled_circuit& batch_session::at(
+const batch_session::circuit_row& batch_session::row_at(
     std::size_t handle) const {
     // Const (count-free) lookup: run_one() calls this concurrently from
     // every pool worker.
-    const compiled_circuit* cc = circuits_.find(handle);
+    const circuit_row* row = circuits_.find(handle);
+    require(row != nullptr, "batch_session: bad circuit handle");
+    return *row;
+}
+
+batch_session::circuit_row& batch_session::row_at(std::size_t handle) {
+    circuit_row* row = circuits_.find(handle);
+    require(row != nullptr, "batch_session: bad circuit handle");
+    return *row;
+}
+
+batch_session::compiled_state& batch_session::at(std::size_t handle) const {
+    compiled_state* cc = row_at(handle).state.get();
     require(cc != nullptr, "batch_session: bad circuit handle");
     return *cc;
 }
 
 const netlist& batch_session::circuit(std::size_t handle) const {
-    return *at(handle).nl;
+    return *row_at(handle).nl;
 }
 
 const circuit_view& batch_session::view(std::size_t handle) const {
-    return *at(handle).view;
+    return at(handle).view;
 }
 
 const std::vector<fault>& batch_session::faults(std::size_t handle) const {
@@ -93,14 +127,14 @@ const std::vector<fault>& batch_session::faults(std::size_t handle) const {
 }
 
 engine_pool& batch_session::pool(std::size_t handle) const {
-    return *at(handle).pool;
+    return at(handle).pool;
 }
 
 batch_session::result batch_session::run_one(const svc::job_request& j) const {
     const std::size_t handle = std::visit(
         [](const auto& p) { return p.circuit; }, j);
-    const compiled_circuit& cc = at(handle);
-    const netlist& nl = *cc.nl;
+    compiled_state& cc = at(handle);
+    const netlist& nl = cc.view.source();
 
     result r;
     r.circuit = handle;
@@ -123,14 +157,14 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
                 // Adopting the circuit's warm pool shares engines built by
                 // earlier jobs and earlier run() calls; the estimator's
                 // own state stays private.
-                analysis.adopt_pool(*cc.pool);
+                analysis.adopt_pool(cc.pool);
                 const double conf =
                     p.confidence > 0.0 ? p.confidence : options_.confidence;
                 r.length = required_test_length(nl, cc.faults, analysis,
                                                 weights, conf, p.threads);
             } else if constexpr (std::is_same_v<T, svc::optimize_request>) {
                 cop_detect_estimator analysis;
-                analysis.adopt_pool(*cc.pool);
+                analysis.adopt_pool(cc.pool);
                 // Stage/probe parallelism stays inside the job's own slice
                 // of the pool: jobs are the outer parallel dimension here,
                 // so each job defaults to sequential stages (threads 1).
@@ -148,7 +182,7 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
                 fo.threads = 1;
                 weighted_random_source source(weights, p.seed);
                 const fault_sim_result sim =
-                    run_fault_simulation(*cc.view, cc.faults, source, fo);
+                    run_fault_simulation(cc.view, cc.faults, source, fo);
                 r.patterns_applied = sim.patterns_applied;
                 r.fault_count = cc.faults.size();
                 r.detected = sim.detected_count;
@@ -173,13 +207,8 @@ std::vector<batch_session::result> batch_session::run(
 
 std::vector<svc::job_request> batch_session::expand_matrix(
     const svc::matrix_request& m) const {
-    std::vector<std::size_t> targets = m.circuits;
-    if (targets.empty()) {
-        targets.reserve(circuit_count());
-        circuits_.for_each([&](std::size_t handle, const compiled_circuit&) {
-            targets.push_back(handle);  // ascending-handle iteration order
-        });
-    }
+    const std::vector<std::size_t> targets =
+        m.circuits.empty() ? handles() : m.circuits;
     std::vector<svc::job_request> requests;
     requests.reserve(targets.size() * m.weight_sets.size());
     for (std::size_t c : targets) {

@@ -13,8 +13,16 @@
 // the circuit's revision stamp, and are bit-identical to running the same
 // jobs sequentially.
 //
-// Cross-request reuse: each circuit keeps one warm engine_pool for the
-// session's lifetime. Engines built by one run() call go back warm and
+// The circuit table: one row per handle, holding the circuit's netlist
+// for the handle's whole life, its compiled state (view, faults, engine
+// pool) or nothing while unloaded, and its owning tenant (empty for
+// add_circuit). add_circuit compiles at once; svc/registry adds rows
+// uncompiled, compiles them on first use and unloads cold ones, and every
+// rebuild or reload compiles the row's own netlist. Callers serialize
+// reshaping the table against run() (svc::service's session lock).
+//
+// Cross-request reuse: each compiled circuit keeps one warm engine_pool
+// while it stays compiled. Engines built by one run() call go back warm and
 // serve the next call after an incremental re-sync, so a long-lived
 // session never pays the full-analysis build twice for the same
 // concurrency level — asserted via pool(h).stats().hits in the tests.
@@ -67,36 +75,44 @@ public:
     /// Read a .bench file and register it.
     std::size_t add_circuit_file(const std::string& path);
 
-    /// Issue a handle with nothing compiled under it yet (the registry's
-    /// lazy-residency path); restore_circuit compiles it on first use.
-    std::size_t reserve_handle() { return next_handle_++; }
-    /// True while `handle` maps to a compiled circuit; reserved or retired
-    /// handles report false (and are never reissued).
-    bool has_circuit(std::size_t handle) const {
-        return circuits_.contains(handle);
-    }
-    /// Hot reload: recompile `handle` in place from a fresh netlist. The
-    /// replacement keeps its own (new) revision stamp, so results cached
-    /// under the old revision are orphaned wholesale. Callers must hold
-    /// the swap exclusive against run(): jobs still executing on the old
-    /// view would otherwise lose it mid-flight. Returns the new revision.
-    std::uint64_t replace_circuit(std::size_t handle, netlist nl);
-    /// Drop `handle`'s compiled state (view, faults, warm engines) while
-    /// keeping the handle retired-but-stable: other circuits keep their
-    /// handles, and restore_circuit can recompile under the same one.
+    /// Add a circuit owned by `tenant` without compiling it (the
+    /// registry's lazy-residency path); compile_circuit builds its view on
+    /// first use. add_circuit is this plus compile_circuit, for no tenant.
+    std::size_t add_uncompiled(netlist nl, std::string tenant);
+    /// Compile `handle`'s own netlist if it is not compiled. A netlist
+    /// keeps its revision stamp, so cache entries keyed by it revalidate
+    /// after an unload and a rebuild.
+    void compile_circuit(std::size_t handle);
+    /// Drop `handle`'s compiled state (view, faults, warm engines). The
+    /// netlist, the tenant and the handle stay; compile_circuit rebuilds.
     void unload_circuit(std::size_t handle);
-    /// Recompile a previously unloaded handle from `nl`. Passing a copy of
-    /// the original netlist preserves its revision stamp (netlist copies
-    /// share revisions), so cache entries keyed by it revalidate after the
-    /// rebuild. Returns the compiled revision.
-    std::uint64_t restore_circuit(std::size_t handle, netlist nl);
+    /// Hot reload: swap `handle`'s netlist for a fresh one, recompiling in
+    /// place if the circuit is compiled (an unloaded one compiles on its
+    /// next compile_circuit). The replacement keeps its own (new) revision
+    /// stamp, so results cached under the old revision are orphaned
+    /// wholesale. Callers must hold the swap exclusive against run(): jobs
+    /// still executing on the old view would otherwise lose it mid-flight.
+    /// Returns the new revision.
+    std::uint64_t replace_circuit(std::size_t handle, netlist nl);
 
-    std::size_t circuit_count() const { return circuits_.size(); }
-    /// Ascending handles of every compiled circuit (reserved and retired
-    /// handles excluded) — the iteration surface for stats and eviction
-    /// sweeps, which can no longer assume handles are 0..count-1.
+    /// True while `handle` is compiled; unloaded and unknown handles
+    /// report false.
+    bool has_circuit(std::size_t handle) const {
+        const circuit_row* row = circuits_.find(handle);
+        return row != nullptr && row->state != nullptr;
+    }
+    /// Compiled circuits; unloaded ones are not counted.
+    std::size_t circuit_count() const { return compiled_count_; }
+    /// Ascending handles of every compiled circuit (unloaded ones
+    /// excluded) — the iteration surface for stats and eviction sweeps,
+    /// which cannot assume handles are 0..count-1.
     std::vector<std::size_t> handles() const;
+    /// `handle`'s netlist, compiled or not.
     const netlist& circuit(std::size_t handle) const;
+    /// The tenant that owns `handle`; empty for add_circuit circuits.
+    const std::string& tenant(std::size_t handle) const {
+        return row_at(handle).tenant;
+    }
     const circuit_view& view(std::size_t handle) const;
     const std::vector<fault>& faults(std::size_t handle) const;
     /// The circuit's warm engine pool (shared by every job working it;
@@ -141,27 +157,29 @@ public:
         const svc::matrix_request& m) const;
 
 private:
-    struct compiled_circuit {
-        std::unique_ptr<netlist> nl;   // stable address for views/results
-        std::unique_ptr<circuit_view> view;
-        std::vector<fault> faults;
-        // Warm engines over `view`, kept across run() calls; every job's
-        // estimator adopts this pool instead of growing its own.
-        std::unique_ptr<engine_pool> pool;
+    /// View, faults and warm engines built from a row's netlist.
+    struct compiled_state;
+    /// One circuit, for the whole life of its handle.
+    struct circuit_row {
+        std::unique_ptr<netlist> nl;  // stable address for views/results
+        std::string tenant;           // empty for add_circuit
+        std::unique_ptr<compiled_state> state;  // null while unloaded
     };
 
     result run_one(const svc::job_request& j) const;
-    const compiled_circuit& at(std::size_t handle) const;
-    compiled_circuit compile(netlist nl) const;
+    /// The row behind `handle`; throws for an unknown handle.
+    const circuit_row& row_at(std::size_t handle) const;
+    circuit_row& row_at(std::size_t handle);
+    /// The compiled state behind `handle`; throws unless it is compiled.
+    compiled_state& at(std::size_t handle) const;
 
     options options_;
-    // Handle -> compiled circuit. Handles come from a monotonic counter,
-    // so every probe lands in the map's direct-index array region; const
-    // lookups are count-free, which keeps concurrent run_one() jobs
-    // race-free. Keyed (rather than a plain vector) so the upcoming
-    // registry can retire handles without invalidating the rest.
-    util::dense_map<compiled_circuit, std::size_t> circuits_;
-    std::size_t next_handle_ = 0;
+    // The circuit table: handle -> row. Rows stay for the session's life,
+    // so handles are 0..size-1 and every probe lands in the map's
+    // direct-index array region; const lookups are count-free, which keeps
+    // concurrent run_one() jobs race-free.
+    util::dense_map<circuit_row, std::size_t> circuits_;
+    std::size_t compiled_count_ = 0;
     std::unique_ptr<thread_pool> pool_;
 };
 

@@ -26,12 +26,9 @@ void check_address(const std::string& tenant, const std::string& name) {
 
 }  // namespace
 
-registry::registered registry::register_circuit(batch_session& session,
-                                                const std::string& tenant,
-                                                const std::string& name,
-                                                netlist nl) {
+register_circuit_response registry::register_circuit(
+    const std::string& tenant, const std::string& name, netlist nl) {
     check_address(tenant, name);
-    write_lock lock(mutex_);
     tenant_state& ts = tenants_[tenant];
     const std::string address = address_of(tenant, name);
     if (entries_.find(address) != entries_.end())
@@ -46,99 +43,100 @@ registry::registered registry::register_circuit(batch_session& session,
                          "' is at its circuit quota (" +
                          std::to_string(options_.quota.max_circuits) + ")");
     }
-    // Lazy residency: reserve the handle and keep the parsed master, but
-    // compile nothing — the first named job pays for the view.
+    register_circuit_response out;
+    out.tenant = tenant;
+    out.name = name;
+    out.revision = nl.revision();
+    const netlist_stats st = nl.stats();
+    out.inputs = st.input_count;
+    out.outputs = st.output_count;
+    out.gates = st.gate_count;
+    // Lazy residency: add the row but compile nothing — the first named
+    // job pays for the view.
     entry& e = entries_[address];
-    e.tenant = tenant;
-    e.name = name;
-    e.handle = session.reserve_handle();
-    e.master = std::move(nl);
-    e.revision = e.master.revision();
+    e.handle = out.circuit = session_.add_uncompiled(std::move(nl), tenant);
     ++ts.circuits;
     touch(e);
-    return {e.handle, e.revision};
+    return out;
 }
 
-registry::reloaded registry::reload_circuit(batch_session& session,
-                                            const std::string& tenant,
-                                            const std::string& name,
-                                            netlist nl) {
+reload_circuit_response registry::reload_circuit(const std::string& tenant,
+                                                 const std::string& name,
+                                                 netlist nl) {
     check_address(tenant, name);
-    write_lock lock(mutex_);
     const auto it = entries_.find(address_of(tenant, name));
     if (it == entries_.end())
         throw registry_error("not-found", "registry: unknown circuit '" +
                                               address_of(tenant, name) + "'");
     entry& e = it->second;
-    const std::uint64_t old_revision = e.revision;
-    e.master = std::move(nl);
-    e.revision = e.master.revision();
-    ++e.reloads;
-    if (e.resident) {
-        // Swap the compiled view under the same handle. The caller holds
-        // the session lock exclusively, so every in-flight job has
-        // drained on the old view; the old warm engine pool dies with it,
-        // and the revision re-stamp orphans the old cache bucket on the
-        // next insert. A master *copy* goes in so the stored master keeps
-        // serving later rebuilds with the same revision.
-        session.replace_circuit(e.handle, netlist(e.master));
-        apply_engine_quota(session.pool(e.handle));
-    }
+    reload_circuit_response out;
+    out.tenant = tenant;
+    out.name = name;
+    out.circuit = e.handle;
+    out.old_revision = session_.circuit(e.handle).revision();
+    // A resident view recompiles in place under the same handle. The
+    // caller holds the session lock exclusively, so every in-flight job
+    // has drained on the old view; the old warm engine pool dies with it,
+    // and the revision re-stamp orphans the old cache bucket on the next
+    // insert. An unloaded row only swaps its netlist.
+    out.revision = session_.replace_circuit(e.handle, std::move(nl));
+    if (session_.has_circuit(e.handle)) apply_engine_quota(e.handle);
+    out.reloads = ++e.reloads;
     touch(e);
-    return {e.handle, e.revision, old_revision, e.reloads};
+    return out;
 }
 
 registry::resolution registry::resolve(const std::string& address) const {
-    read_lock lock(mutex_);
     const auto it = entries_.find(address);
     if (it == entries_.end()) return {};
     touch(it->second);  // LRU stamp: atomic, safe under the shared lock
-    return {true, it->second.resident, it->second.handle};
+    const std::size_t handle = it->second.handle;
+    return {true, session_.has_circuit(handle), handle};
 }
 
 bool registry::needs_compile(const std::string& address) const {
-    read_lock lock(mutex_);
     const auto it = entries_.find(address);
-    return it != entries_.end() && !it->second.resident;
+    return it != entries_.end() && !session_.has_circuit(it->second.handle);
 }
 
-void registry::ensure_resident(batch_session& session,
-                               const std::string& address) {
-    write_lock lock(mutex_);
+void registry::ensure_resident(const std::string& address) {
     const auto it = entries_.find(address);
     if (it == entries_.end()) return;  // resolve reports the typed error
     entry& e = it->second;
-    if (e.resident) return;
-    // A master copy shares the master's revision stamp, so results cached
-    // for this entry before an earlier eviction revalidate after the
-    // rebuild — the bucket's revision still matches.
-    session.restore_circuit(e.handle, netlist(e.master));
-    apply_engine_quota(session.pool(e.handle));
-    e.resident = true;
-    ++resident_;
+    if (session_.has_circuit(e.handle)) return;
+    session_.compile_circuit(e.handle);
+    apply_engine_quota(e.handle);
     ++view_rebuilds_;
     touch(e);
-    evict_excess(session, &e);
+    evict_excess(e);
 }
 
-void registry::apply_engine_quota(engine_pool& pool) const {
+void registry::apply_engine_quota(std::size_t handle) const {
     const std::size_t quota = options_.quota.max_engines;
     if (quota == 0) return;
     // The compile set the session-wide default; the tighter bound wins.
+    engine_pool& pool = session_.pool(handle);
     const std::size_t current = pool.capacity();
     pool.set_capacity(current == 0 ? quota : std::min(current, quota));
 }
 
-void registry::evict_excess(batch_session& session, const entry* keep) {
+std::size_t registry::resident_count() const {
+    return static_cast<std::size_t>(std::count_if(
+        entries_.begin(), entries_.end(), [&](const auto& kv) {
+            return session_.has_circuit(kv.second.handle);
+        }));
+}
+
+void registry::evict_excess(const entry& keep) {
     if (options_.max_views == 0) return;
-    while (resident_ > options_.max_views) {
-        // O(entries) scan per eviction: evictions are as rare as compiles,
-        // which dwarf the scan, so an index would be bookkeeping for
-        // nothing.
-        entry* coldest = nullptr;
+    // O(entries) scans per compile: compiles are rare and dwarf the scan,
+    // so a resident index would be bookkeeping for nothing.
+    for (std::size_t resident = resident_count();
+         resident > options_.max_views; --resident) {
+        const entry* coldest = nullptr;
         std::uint64_t coldest_use = 0;
-        for (auto& [address, e] : entries_) {
-            if (!e.resident || &e == keep) continue;
+        for (const auto& [address, e] : entries_) {
+            if (&e == &keep || !session_.has_circuit(e.handle)) continue;
             const std::uint64_t use =
                 e.last_use.load(std::memory_order_relaxed);
             if (coldest == nullptr || use < coldest_use) {
@@ -147,26 +145,24 @@ void registry::evict_excess(batch_session& session, const entry* keep) {
             }
         }
         if (coldest == nullptr) break;  // only `keep` itself is resident
-        session.unload_circuit(coldest->handle);
-        coldest->resident = false;
-        --resident_;
+        session_.unload_circuit(coldest->handle);
         ++view_evictions_;
     }
 }
 
 std::vector<catalog_entry_payload> registry::list(
     const std::string& tenant) const {
-    read_lock lock(mutex_);
     std::vector<catalog_entry_payload> rows;
     rows.reserve(entries_.size());
     for (const auto& [address, e] : entries_) {
-        if (!tenant.empty() && e.tenant != tenant) continue;
+        const std::string& owner = session_.tenant(e.handle);
+        if (!tenant.empty() && owner != tenant) continue;
         catalog_entry_payload row;
-        row.tenant = e.tenant;
-        row.name = e.name;
+        row.tenant = owner;
+        row.name = address.substr(owner.size() + 1);  // after "tenant/"
         row.circuit = e.handle;
-        row.revision = e.revision;
-        row.resident = e.resident;
+        row.revision = session_.circuit(e.handle).revision();
+        row.resident = session_.has_circuit(e.handle);
         row.reloads = e.reloads;
         rows.push_back(std::move(row));
     }
@@ -179,18 +175,27 @@ std::vector<catalog_entry_payload> registry::list(
     return rows;
 }
 
-registry::counters registry::stats() const {
-    read_lock lock(mutex_);
-    counters c;
+registry_stats_payload registry::stats() const {
+    registry_stats_payload c;
+    if (entries_.empty()) return c;  // the section stays off the wire
+    c.present = true;
     c.circuits = entries_.size();
-    c.resident = resident_;
+    c.resident = resident_count();
+    c.max_views = options_.max_views;
     c.view_evictions = view_evictions_;
     c.view_rebuilds = view_rebuilds_;
-    c.tenants.reserve(tenants_.size());
-    for (const auto& [tenant, ts] : tenants_)
-        c.tenants.push_back({tenant, ts.circuits, ts.rejections});
+    for (const auto& [tenant, ts] : tenants_) {
+        tenant_stats_payload& tp = c.tenants.emplace_back();
+        tp.tenant = tenant;
+        tp.circuits = ts.circuits;
+        tp.max_circuits = options_.quota.max_circuits;
+        tp.max_engines = options_.quota.max_engines;
+        tp.max_cache_bytes =
+            static_cast<std::size_t>(options_.quota.max_cache_bytes);
+        tp.rejections = ts.rejections;
+    }
     std::sort(c.tenants.begin(), c.tenants.end(),
-              [](const tenant_row& a, const tenant_row& b) {
+              [](const tenant_stats_payload& a, const tenant_stats_payload& b) {
                   return a.tenant < b.tenant;
               });
     return c;

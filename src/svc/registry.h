@@ -1,25 +1,27 @@
-// Named multi-tenant circuit registry — the catalog layer above
-// exec/batch_session.
+// Named multi-tenant circuit registry — the catalog policy over
+// exec/batch_session's circuit table.
 //
-// The session deals in integer handles; the registry gives those handles
+// The session deals in integer handles and holds every circuit once, in
+// its handle's row: the netlist, the compiled state (or nothing while
+// unloaded) and the owning tenant. The registry gives those handles
 // durable names. A circuit registers as "tenant/name", jobs address it by
 // that string, and the server resolves the name to a handle before the
 // job touches the cache or the session. Three properties make the catalog
 // serve-shaped:
 //
-//  * Lazy residency with a bounded view LRU. register_circuit parses and
-//    stores the netlist master but compiles nothing, so thousands of
-//    registrations stay cheap; the first named job compiles the view
-//    (restore_circuit under the entry's reserved handle) and, when the
-//    resident count would exceed options.max_views, the coldest resident
-//    view — least-recently resolved, by an atomic use stamp exactly like
-//    engine_pool's checkout stamps — is unloaded. Because a master copy
-//    shares the master's revision stamp (the netlist copy contract),
-//    results cached before an eviction revalidate after the rebuild: the
-//    cache bucket's revision still matches.
+//  * Lazy residency with a bounded view LRU. register_circuit adds an
+//    uncompiled row, so thousands of registrations stay cheap; the first
+//    named job compiles the row's own netlist and, when the resident count
+//    would exceed options.max_views, the coldest resident view —
+//    least-recently resolved, by an atomic use stamp exactly like
+//    engine_pool's checkout stamps — is unloaded. The rebuild compiles the
+//    same netlist, revision stamp included, so results cached before an
+//    eviction revalidate after it: the cache bucket's revision still
+//    matches. Circuits added by load_circuit have no tenant and are not
+//    catalog entries: the LRU never unloads them.
 //
-//  * Atomic hot reload. reload_circuit swaps the master for a freshly
-//    parsed netlist (new revision) and, if the entry is resident,
+//  * Atomic hot reload. reload_circuit swaps the row's netlist for a
+//    freshly parsed one (new revision) and, if the entry is resident,
 //    recompiles in place under the same handle while the caller holds the
 //    session lock exclusively — in-flight jobs have already drained, the
 //    old view's warm engine pool is destroyed with it, and the old cache
@@ -29,18 +31,15 @@
 //  * Per-tenant quotas. A uniform tenant_quota bounds registered circuits
 //    (typed "quota" refusal past the cap), clamps each compiled view's
 //    engine-pool capacity, and caps result-cache bytes (enforced by the
-//    service's insert path, which attributes entries to tenants). Refusal
-//    envelopes carry a machine-readable `code` so clients can tell quota
-//    pressure from not-found from malformed input.
+//    service's insert path, which reads each entry's tenant from its
+//    row). Refusal envelopes carry a machine-readable `code` so clients
+//    can tell quota pressure from not-found from malformed input.
 //
-// Locking: the registry has its own shared_mutex, always acquired under
-// the service's session lock (lock order: session_mutex_ -> registry
-// mutex_ -> cache_mutex_; the registry is never locked while cache_mutex_
-// is held). Mutators (register/reload/ensure_resident) additionally
-// require the caller to hold the session lock exclusively, because they
-// reshape the session's circuit table; resolve/list/stats run under a
-// shared session lock and a shared registry lock, with LRU stamps as
-// atomics so readers never need the exclusive side.
+// Locking: the registry has no lock of its own; the service's session
+// lock guards it together with the table it reshapes. Mutators
+// (register/reload/ensure_resident) need that lock exclusively;
+// resolve/needs_compile/list/stats run under it shared, with LRU stamps
+// as atomics so concurrent resolvers never need the exclusive side.
 
 #pragma once
 
@@ -54,11 +53,6 @@
 #include "exec/batch_session.h"
 #include "netlist/netlist.h"
 #include "svc/request.h"
-#include "util/sync.h"
-
-namespace wrpt {
-class engine_pool;
-}
 
 namespace wrpt::svc {
 
@@ -92,44 +86,34 @@ public:
         tenant_quota quota;
     };
 
-    registry() = default;
-    explicit registry(options opt) : options_(opt) {}
+    /// A catalog over `session`'s circuit table, which must outlive it.
+    registry(batch_session& session, options opt)
+        : session_(session), options_(opt) {}
 
     registry(const registry&) = delete;
     registry& operator=(const registry&) = delete;
 
-    const options& config() const { return options_; }
-
-    struct registered {
-        std::size_t handle = 0;
-        std::uint64_t revision = 0;
-    };
-    struct reloaded {
-        std::size_t handle = 0;
-        std::uint64_t revision = 0;
-        std::uint64_t old_revision = 0;
-        std::uint64_t reloads = 0;
-    };
     struct resolution {
         bool found = false;
         bool resident = false;
         std::size_t handle = 0;
     };
 
-    /// Register `nl` as "tenant/name". Lazy: reserves a session handle and
-    /// stores the master netlist, compiling nothing. Throws registry_error
-    /// ("invalid" for a malformed address, "exists" for a taken name,
-    /// "quota" past the tenant's circuit cap — counted as a rejection).
-    /// Caller holds the session lock exclusively.
-    registered register_circuit(batch_session& session,
-                                const std::string& tenant,
-                                const std::string& name, netlist nl);
+    /// Register `nl` as "tenant/name". Lazy: adds an uncompiled session
+    /// row owned by `tenant`. Throws registry_error ("invalid" for a
+    /// malformed address, "exists" for a taken name, "quota" past the
+    /// tenant's circuit cap — counted as a rejection). Caller holds the
+    /// session lock exclusively.
+    register_circuit_response register_circuit(const std::string& tenant,
+                                               const std::string& name,
+                                               netlist nl);
 
-    /// Swap the master for "tenant/name" and, if resident, recompile under
+    /// Swap the netlist of "tenant/name" and, if resident, recompile under
     /// the same handle. Throws registry_error("not-found") for unknown
     /// names. Caller holds the session lock exclusively.
-    reloaded reload_circuit(batch_session& session, const std::string& tenant,
-                            const std::string& name, netlist nl);
+    reload_circuit_response reload_circuit(const std::string& tenant,
+                                           const std::string& name,
+                                           netlist nl);
 
     /// Look up "tenant/name" and stamp its LRU clock. Safe under a shared
     /// session lock; never compiles.
@@ -144,39 +128,26 @@ public:
     /// unload the coldest resident views beyond options.max_views. A
     /// no-op for unknown names (resolve reports those as typed errors).
     /// Caller holds the session lock exclusively.
-    void ensure_resident(batch_session& session, const std::string& address);
+    void ensure_resident(const std::string& address);
 
     /// Catalog rows, sorted by "tenant/name"; `tenant` filters when
     /// non-empty. Safe under a shared session lock.
     std::vector<catalog_entry_payload> list(const std::string& tenant) const;
 
-    struct tenant_row {
-        std::string tenant;
-        std::size_t circuits = 0;
-        std::uint64_t rejections = 0;  ///< typed quota refusals issued
-    };
-    struct counters {
-        std::size_t circuits = 0;  ///< registered entries
-        std::size_t resident = 0;  ///< entries with a compiled view
-        std::uint64_t view_evictions = 0;
-        std::uint64_t view_rebuilds = 0;
-        std::vector<tenant_row> tenants;  ///< sorted by tenant
-    };
-    counters stats() const;
+    /// The stats section, tenants sorted; absent (present false) until a
+    /// circuit registers. The caller fills each tenant's cache_bytes.
+    registry_stats_payload stats() const;
 
 private:
+    /// A catalog entry: the row's handle plus the policy state kept beside
+    /// it. The tenant, the netlist and its revision live in the row.
     struct entry {
-        std::string tenant;
-        std::string name;
         std::size_t handle = 0;
-        netlist master;  ///< source of truth; copies share its revision
-        std::uint64_t revision = 0;
-        bool resident = false;
         std::uint64_t reloads = 0;
-        /// LRU stamp, written by resolve() under the shared lock — atomic
-        /// so concurrent resolvers never race (mutable because stamping is
-        /// a read-path side effect); entries live in node-stable
-        /// unordered_map nodes, so the address is durable.
+        /// LRU stamp, written by resolve() under the shared session lock —
+        /// atomic so concurrent resolvers never race (mutable because
+        /// stamping is a read-path side effect); entries live in
+        /// node-stable unordered_map nodes, so the address is durable.
         mutable std::atomic<std::uint64_t> last_use{0};
     };
     struct tenant_state {
@@ -190,27 +161,25 @@ private:
     }
     /// Clamp a freshly compiled view's engine pool to the tenant quota
     /// (the tighter of the session default and the quota wins).
-    void apply_engine_quota(engine_pool& pool) const;
+    void apply_engine_quota(std::size_t handle) const;
+    /// Entries whose view is compiled.
+    std::size_t resident_count() const;
     /// Unload coldest resident views until at most options.max_views
     /// remain; `keep` is never a victim.
-    void evict_excess(batch_session& session, const entry* keep)
-        WRPT_REQUIRES(mutex_);
+    void evict_excess(const entry& keep);
 
+    batch_session& session_;
     options options_;
-    /// Registry-structure lock; see the header comment for the order
-    /// relative to the service's locks.
-    mutable wrpt::shared_mutex mutex_;
     /// Address "tenant/name" -> entry. String-keyed and node-stable by
     /// design: names are arbitrary text (no dense integer domain) and the
     /// atomic LRU stamps need durable addresses, which the dense map's
     /// relocating maintenance would break.
     std::unordered_map<std::string, entry>  // wrpt-lint: allow(dense-map)
-        entries_ WRPT_GUARDED_BY(mutex_);
+        entries_;
     std::unordered_map<std::string, tenant_state>  // wrpt-lint: allow(dense-map)
-        tenants_ WRPT_GUARDED_BY(mutex_);
-    std::size_t resident_ WRPT_GUARDED_BY(mutex_) = 0;
-    std::uint64_t view_evictions_ WRPT_GUARDED_BY(mutex_) = 0;
-    std::uint64_t view_rebuilds_ WRPT_GUARDED_BY(mutex_) = 0;
+        tenants_;
+    std::uint64_t view_evictions_ = 0;
+    std::uint64_t view_rebuilds_ = 0;
     mutable std::atomic<std::uint64_t> use_clock_{0};
 };
 

@@ -17,14 +17,14 @@ namespace wrpt::svc {
 
 service::service() : service(options{}) {}
 
-service::service(options opt)
-    : options_(opt),
-      registry_(registry::options{opt.max_views, opt.tenant_quota}) {
+service::service(options opt) : options_(opt) {
     batch_session::options so;
     so.threads = opt.threads;
     so.confidence = opt.confidence;
     so.max_engines = opt.max_engines;
     session_ = std::make_unique<batch_session>(so);
+    registry_ = std::make_unique<registry>(
+        *session_, registry::options{opt.max_views, opt.tenant_quota});
 }
 
 service::~service() = default;
@@ -136,27 +136,12 @@ response service::handle_register(std::uint64_t id,
                                   const register_circuit_request& p) {
     netlist nl = parse_circuit_source("register_circuit", p.bench, p.path,
                                       p.suite, p.name);
-    const netlist_stats st = nl.stats();
-    // Registration reserves a handle (reshaping the session's table) but
-    // compiles nothing — the first named job pays for the view.
+    // Registration adds a row to the session's table but compiles
+    // nothing — the first named job pays for the view.
     write_lock session_lock(session_mutex_);
-    const registry::registered reg =
-        registry_.register_circuit(*session_, p.tenant, p.name, std::move(nl));
-    {
-        lock_guard cache_lock(cache_mutex_);
-        handle_tenant_.try_emplace(reg.handle, p.tenant);
-    }
-    register_circuit_response out;
-    out.tenant = p.tenant;
-    out.name = p.name;
-    out.circuit = reg.handle;
-    out.revision = reg.revision;
-    out.inputs = st.input_count;
-    out.outputs = st.output_count;
-    out.gates = st.gate_count;
     response r;
     r.id = id;
-    r.payload = std::move(out);
+    r.payload = registry_->register_circuit(p.tenant, p.name, std::move(nl));
     return r;
 }
 
@@ -167,18 +152,9 @@ response service::handle_reload(std::uint64_t id,
     // Exclusive: every in-flight job drains before the swap, so a request
     // only ever observes one revision end to end.
     write_lock session_lock(session_mutex_);
-    const registry::reloaded rl =
-        registry_.reload_circuit(*session_, p.tenant, p.name, std::move(nl));
-    reload_circuit_response out;
-    out.tenant = p.tenant;
-    out.name = p.name;
-    out.circuit = rl.handle;
-    out.revision = rl.revision;
-    out.old_revision = rl.old_revision;
-    out.reloads = rl.reloads;
     response r;
     r.id = id;
-    r.payload = std::move(out);
+    r.payload = registry_->reload_circuit(p.tenant, p.name, std::move(nl));
     return r;
 }
 
@@ -186,7 +162,7 @@ response service::handle_list(std::uint64_t id,
                               const list_circuits_request& p) {
     read_lock session_lock(session_mutex_);
     list_circuits_response out;
-    out.entries = registry_.list(p.tenant);
+    out.entries = registry_->list(p.tenant);
     response r;
     r.id = id;
     r.payload = std::move(out);
@@ -197,11 +173,7 @@ response service::handle_stats(std::uint64_t id) {
     read_lock session_lock(session_mutex_);
     stats_response out;
     out.requests = requests_.load(std::memory_order_relaxed);
-    // Registry before cache: the lock order is session -> registry ->
-    // cache, and the per-tenant byte attribution lives under cache_mutex_.
-    const registry::counters rc = registry_.stats();
-    std::unordered_map<std::string, std::uint64_t>  // wrpt-lint: allow(dense-map)
-        tenant_bytes;
+    out.registry = registry_->stats();
     {
         lock_guard cache_lock(cache_mutex_);
         out.cache_probes = cache_probes_;
@@ -210,34 +182,15 @@ response service::handle_stats(std::uint64_t id) {
         out.cache_entries = cache_entries_;
         out.cache_evictions = cache_evictions_;
         out.cache_bytes = cache_bytes_;
-        tenant_bytes = tenant_bytes_;
+        for (tenant_stats_payload& tp : out.registry.tenants) {
+            const auto bit = tenant_bytes_.find(tp.tenant);
+            if (bit != tenant_bytes_.end())
+                tp.cache_bytes = static_cast<std::size_t>(bit->second);
+        }
     }
     out.circuits = session_->circuit_count();
     out.simd_isa = "scalar";
     out.simd_lanes = 1;
-    if (rc.circuits > 0) {
-        const registry::tenant_quota& q = registry_.config().quota;
-        out.registry.present = true;
-        out.registry.circuits = rc.circuits;
-        out.registry.resident = rc.resident;
-        out.registry.max_views = registry_.config().max_views;
-        out.registry.view_evictions = rc.view_evictions;
-        out.registry.view_rebuilds = rc.view_rebuilds;
-        for (const registry::tenant_row& t : rc.tenants) {
-            tenant_stats_payload tp;
-            tp.tenant = t.tenant;
-            tp.circuits = t.circuits;
-            const auto bit = tenant_bytes.find(t.tenant);
-            tp.cache_bytes = bit == tenant_bytes.end()
-                                 ? 0
-                                 : static_cast<std::size_t>(bit->second);
-            tp.max_circuits = q.max_circuits;
-            tp.max_engines = q.max_engines;
-            tp.max_cache_bytes = static_cast<std::size_t>(q.max_cache_bytes);
-            tp.rejections = t.rejections;
-            out.registry.tenants.push_back(std::move(tp));
-        }
-    }
     for (const std::size_t c : session_->handles()) {
         const engine_pool& pool = session_->pool(c);
         const engine_pool::counters pc = pool.stats();
@@ -347,12 +300,12 @@ std::string validate_options(const fault_sim_request& p) {
 std::string service::resolve_named(job_request& j, std::string* code) const {
     const std::string name =
         std::visit([](const auto& p) { return p.name; }, j);
-    const registry::resolution r = registry_.resolve(name);
+    const registry::resolution r = registry_->resolve(name);
     if (!r.found) {
         *code = "not-found";
         return "unknown circuit '" + name + "'";
     }
-    if (!r.resident || !session_->has_circuit(r.handle)) {
+    if (!r.resident) {
         // Unreachable from run_jobs (residency is ensured under the same
         // continuously-held session lock); defensive for future callers.
         *code = "not-ready";
@@ -507,7 +460,7 @@ void service::insert_cached(cache_locator key, std::uint64_t cost,
     // the global entry cap or a per-tenant byte quota; without either it
     // would grow unboundedly for nothing.
     if (options_.max_cache_entries == 0 &&
-        registry_.config().quota.max_cache_bytes == 0)
+        options_.tenant_quota.max_cache_bytes == 0)
         return;
     const std::size_t inserted_circuit = key.circuit;
     cache_order_.push_back(
@@ -539,28 +492,27 @@ void service::insert_cached(cache_locator key, std::uint64_t cost,
 
 void service::tenant_bytes_add(std::size_t circuit, std::int64_t delta) {
     // Caller holds cache_mutex_.
-    const std::string* tenant = handle_tenant_.find(circuit);
-    if (tenant == nullptr) return;  // handle-loaded circuit: untracked
-    std::uint64_t& bytes = tenant_bytes_[*tenant];
+    const std::string& tenant = session_->tenant(circuit);
+    if (tenant.empty()) return;  // handle-loaded circuit: untracked
+    std::uint64_t& bytes = tenant_bytes_[tenant];
     bytes = static_cast<std::uint64_t>(static_cast<std::int64_t>(bytes) +
                                        delta);
 }
 
 void service::enforce_tenant_cache_quota(std::size_t circuit) {
     // Caller holds cache_mutex_.
-    const std::uint64_t cap = registry_.config().quota.max_cache_bytes;
+    const std::uint64_t cap = options_.tenant_quota.max_cache_bytes;
     if (cap == 0) return;
-    const std::string* tenant = handle_tenant_.find(circuit);
-    if (tenant == nullptr) return;
-    const auto bit = tenant_bytes_.find(*tenant);
+    const std::string& tenant = session_->tenant(circuit);
+    if (tenant.empty()) return;
+    const auto bit = tenant_bytes_.find(tenant);
     if (bit == tenant_bytes_.end() || bit->second <= cap) return;
     // Walk the global FIFO oldest-first without popping (records owned by
     // other tenants must keep their place); entries this evicts leave
     // stale records behind, skipped lazily like any other.
     for (const order_record& rec : cache_order_) {
         if (bit->second <= cap) break;
-        const std::string* owner = handle_tenant_.find(rec.circuit);
-        if (owner == nullptr || *owner != *tenant) continue;
+        if (session_->tenant(rec.circuit) != tenant) continue;
         circuit_bucket* ob = cache_.find(rec.circuit);
         if (ob == nullptr) continue;
         const auto oit = ob->entries.find(rec.fingerprint);
@@ -709,7 +661,7 @@ std::vector<response> service::run_jobs(std::uint64_t id,
         bool compile = false;
         for (const job_ref j : jobs) {
             const std::string& name = job_name(j);
-            if (!name.empty() && registry_.needs_compile(name)) {
+            if (!name.empty() && registry_->needs_compile(name)) {
                 compile = true;
                 break;
             }
@@ -723,7 +675,7 @@ std::vector<response> service::run_jobs(std::uint64_t id,
     write_lock session_lock(session_mutex_);
     for (const job_ref j : jobs) {
         const std::string& name = job_name(j);
-        if (!name.empty()) registry_.ensure_resident(*session_, name);
+        if (!name.empty()) registry_->ensure_resident(name);
     }
     return run_jobs_locked(id, jobs);
 }

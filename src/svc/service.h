@@ -50,12 +50,13 @@
 // Concurrency: handle() is safe to call from many threads at once — the
 // contract the socket daemon (svc/server.h) runs one session per
 // connection on. Two locks split the shared state: a shared_mutex over
-// the session structure (load/register/reload take it exclusively while
-// they reshape the circuit table; jobs, stats and evict share it) and a
-// plain mutex over the result cache and its counters, held only for
-// probes and inserts, never across a computation. The registry carries
-// its own shared_mutex between the two (lock order: session -> registry
-// -> cache). Job results stay deterministic, so
+// the session's circuit table and the registry's policy over it
+// (load/register/reload and view compiles take it exclusively; jobs,
+// stats, list and evict share it) and a plain mutex over the result cache
+// and its counters, held only for probes and inserts, never across a
+// computation (lock order: session -> cache). The cache reads each
+// entry's tenant from its session row under the session lock it already
+// holds. Job results stay deterministic, so
 // the race two connections can win against one cache key is benign: both
 // compute the same bits, each counts as a miss, the second insert
 // replaces an identical entry — and every job is still accounted as
@@ -136,9 +137,12 @@ public:
     };
     cache_counters cache_stats() const;
 
-    /// The named-circuit catalog (internally synchronized); tests and
-    /// tools read counters and rows from it directly.
-    const registry& catalog() const { return registry_; }
+    /// The named-circuit catalog; tests and tools read counters and rows
+    /// from it directly. Opted out of the analysis like session(): the
+    /// catalog is guarded by session_mutex_, which handle() takes.
+    const registry& catalog() const WRPT_NO_THREAD_SAFETY_ANALYSIS {
+        return *registry_;
+    }
 
 private:
     /// A job by reference: a single-job request is answered without
@@ -230,15 +234,16 @@ private:
     void insert_cached(cache_locator key, std::uint64_t cost,
                        const batch_session::result& r,
                        std::shared_ptr<const std::string> hit_bytes)
-        WRPT_REQUIRES(cache_mutex_);
-    /// Attribute `delta` cache bytes to the tenant owning `circuit` (a
-    /// no-op for handle-loaded circuits outside the registry).
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
+    /// Attribute `delta` cache bytes to the tenant owning `circuit`, read
+    /// from its session row (a no-op for load_circuit circuits, which
+    /// have no tenant).
     void tenant_bytes_add(std::size_t circuit, std::int64_t delta)
-        WRPT_REQUIRES(cache_mutex_);
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
     /// Evict the oldest cache entries of `circuit`'s tenant until its
     /// bytes fit the per-tenant quota (no-op without a quota).
     void enforce_tenant_cache_quota(std::size_t circuit)
-        WRPT_REQUIRES(cache_mutex_);
+        WRPT_REQUIRES(cache_mutex_) WRPT_REQUIRES_SHARED(session_mutex_);
     static response to_response(std::uint64_t id,
                                 const batch_session::result& r, bool cached);
     /// The hit bytes of a cache entry holding `r`: its cached response's
@@ -248,9 +253,10 @@ private:
 
     options options_;
 
-    /// Session-structure lock: add_circuit (exclusive) vs everything that
-    /// reads the circuit table (shared). Always taken before cache_mutex_
-    /// when both are needed.
+    /// Session-structure lock: the circuit table and the catalog over it.
+    /// load/register/reload and compiles take it exclusively; everything
+    /// that reads them shares it. Always taken before cache_mutex_ when
+    /// both are needed.
     mutable wrpt::shared_mutex session_mutex_
         WRPT_ACQUIRED_BEFORE(cache_mutex_);
     /// Result-cache lock: cache_, cache_order_ and the counters. Held for
@@ -262,10 +268,9 @@ private:
     std::unique_ptr<batch_session> session_
         WRPT_PT_GUARDED_BY(session_mutex_);
 
-    /// Named-circuit catalog. Internally synchronized with its own
-    /// shared_mutex, always acquired under session_mutex_ and never under
-    /// cache_mutex_ (lock order: session -> registry -> cache).
-    registry registry_;
+    /// Named-circuit catalog: policy over session_'s circuit table, with
+    /// no lock of its own. Set once in the constructor, after session_.
+    std::unique_ptr<registry> registry_ WRPT_PT_GUARDED_BY(session_mutex_);
 
     /// Level 1: handle -> bucket. Handles are consecutive, so every
     /// probe is a direct-index array load (count-free const reads are not
@@ -282,11 +287,6 @@ private:
     std::uint64_t cache_evictions_ WRPT_GUARDED_BY(cache_mutex_) = 0;
     std::size_t cache_entries_ WRPT_GUARDED_BY(cache_mutex_) = 0;
     std::uint64_t cache_bytes_ WRPT_GUARDED_BY(cache_mutex_) = 0;
-    /// Handle -> owning tenant, for per-tenant cache accounting. Written
-    /// once per registration; handles are consecutive, so the probe on
-    /// every insert is a direct-index load.
-    util::dense_map<std::string, std::size_t> handle_tenant_
-        WRPT_GUARDED_BY(cache_mutex_);
     /// Tenant -> retained result-cache bytes (string-keyed aggregate over
     /// arbitrary tenant names, never iterated in result-affecting order).
     std::unordered_map<std::string, std::uint64_t>  // wrpt-lint: allow(dense-map)

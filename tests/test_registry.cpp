@@ -139,24 +139,27 @@ std::vector<catalog_entry_payload> list_of(service& s) {
 
 TEST(registry, direct_register_resolve_and_lazy_residency) {
     batch_session session;
-    registry reg;
+    registry reg(session, {});
 
-    const auto made = reg.register_circuit(session, "t", "a",
-                                           make_cascaded_comparator(2, "a"));
-    // Lazy: a handle is reserved but nothing is compiled yet.
-    EXPECT_FALSE(session.has_circuit(made.handle));
+    const auto made =
+        reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
+    // Lazy: the row holds the netlist and its tenant, compiled to nothing.
+    EXPECT_FALSE(session.has_circuit(made.circuit));
+    EXPECT_EQ(session.circuit_count(), 0u);
+    EXPECT_EQ(session.circuit(made.circuit).revision(), made.revision);
+    EXPECT_EQ(session.tenant(made.circuit), "t");
     EXPECT_TRUE(reg.needs_compile("t/a"));
 
     const registry::resolution res = reg.resolve("t/a");
     EXPECT_TRUE(res.found);
     EXPECT_FALSE(res.resident);
-    EXPECT_EQ(res.handle, made.handle);
+    EXPECT_EQ(res.handle, made.circuit);
     EXPECT_FALSE(reg.resolve("t/missing").found);
 
-    reg.ensure_resident(session, "t/a");
-    EXPECT_TRUE(session.has_circuit(made.handle));
+    reg.ensure_resident("t/a");
+    EXPECT_TRUE(session.has_circuit(made.circuit));
     EXPECT_FALSE(reg.needs_compile("t/a"));
-    EXPECT_EQ(session.circuit(made.handle).revision(), made.revision);
+    EXPECT_EQ(session.circuit(made.circuit).revision(), made.revision);
 
     const auto rows = reg.list("");
     ASSERT_EQ(rows.size(), 1u);
@@ -164,7 +167,7 @@ TEST(registry, direct_register_resolve_and_lazy_residency) {
     EXPECT_EQ(rows[0].name, "a");
     EXPECT_TRUE(rows[0].resident);
 
-    const registry::counters c = reg.stats();
+    const registry_stats_payload c = reg.stats();
     EXPECT_EQ(c.circuits, 1u);
     EXPECT_EQ(c.resident, 1u);
     EXPECT_EQ(c.view_rebuilds, 1u);
@@ -173,26 +176,24 @@ TEST(registry, direct_register_resolve_and_lazy_residency) {
 
 TEST(registry, refusals_carry_typed_codes) {
     batch_session session;
-    registry reg;
-    reg.register_circuit(session, "t", "a", make_cascaded_comparator(2, "a"));
+    registry reg(session, {});
+    reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
 
     try {
-        reg.register_circuit(session, "t", "a",
-                             make_cascaded_comparator(2, "a"));
+        reg.register_circuit("t", "a", make_cascaded_comparator(2, "a"));
         FAIL() << "duplicate registration must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "exists");
     }
     try {
-        reg.register_circuit(session, "bad/tenant", "x",
+        reg.register_circuit("bad/tenant", "x",
                              make_cascaded_comparator(2, "x"));
         FAIL() << "a '/' in the tenant must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "invalid");
     }
     try {
-        reg.reload_circuit(session, "t", "missing",
-                           make_cascaded_comparator(2, "m"));
+        reg.reload_circuit("t", "missing", make_cascaded_comparator(2, "m"));
         FAIL() << "reloading an unknown name must throw";
     } catch (const registry_error& e) {
         EXPECT_EQ(e.code(), "not-found");
@@ -350,14 +351,14 @@ TEST(registry, evicted_views_rebuild_and_revalidate_cached_results) {
     ASSERT_TRUE(s.handle(make_named_length("t/a")).ok);
     ASSERT_TRUE(s.handle(make_named_length("t/b")).ok);  // evicts a's view
 
-    registry::counters c = s.catalog().stats();
+    registry_stats_payload c = s.catalog().stats();
     EXPECT_EQ(c.resident, 1u);
     EXPECT_EQ(c.view_rebuilds, 2u);
     EXPECT_EQ(c.view_evictions, 1u);
 
-    // a's view rebuilds from the master copy, which shares the master's
-    // revision stamp — so the result cached before the eviction is STILL
-    // VALID and must hit.
+    // a's view rebuilds from the row's own netlist, revision stamp
+    // included — so the result cached before the eviction is STILL VALID
+    // and must hit.
     const response again = s.handle(make_named_length("t/a"));
     ASSERT_TRUE(again.ok);
     EXPECT_TRUE(std::get<test_length_response>(again.payload).cached);
@@ -387,7 +388,7 @@ TEST(registry, thousand_registrations_stay_within_max_views) {
         ASSERT_TRUE(s.handle(make_named_length(address)).ok);
     }
 
-    const registry::counters c = s.catalog().stats();
+    const registry_stats_payload c = s.catalog().stats();
     EXPECT_EQ(c.circuits, 1000u);
     EXPECT_EQ(c.resident, 32u);
     EXPECT_EQ(c.view_rebuilds, 64u);
