@@ -1,9 +1,7 @@
 # Replays a scripted JSON-lines session through `wrpt_cli serve` and
 # compares the responses with a golden file byte for byte. Only the
 # legitimately volatile fields are normalized, exactly as in ci.yml's serve
-# job: revision stamps are process-unique, elapsed_ms is wall time, and
-# simd_isa/simd_lanes (always "scalar"/1 now) map to the golden's
-# "any"/0 placeholders.
+# job: revision stamps are process-unique and elapsed_ms is wall time.
 #
 #   cmake -DCLI=<wrpt_cli> -DSESSION=<session.jsonl> -DGOLDEN=<file.golden>
 #         [-DSETUP=<setup.jsonl>] [-DACTUAL=<normalized output file>]
@@ -59,10 +57,6 @@ string(REGEX REPLACE "\"revision\":[0-9]+" "\"revision\":0"
 string(REGEX REPLACE "\"old_revision\":[0-9]+" "\"old_revision\":0"
        actual "${actual}")
 string(REGEX REPLACE "\"elapsed_ms\":[0-9.e+-]+" "\"elapsed_ms\":0"
-       actual "${actual}")
-string(REGEX REPLACE "\"simd_isa\":\"[a-z0-9_]+\"" "\"simd_isa\":\"any\""
-       actual "${actual}")
-string(REGEX REPLACE "\"simd_lanes\":[0-9]+" "\"simd_lanes\":0"
        actual "${actual}")
 
 file(READ ${GOLDEN} expected)
