@@ -5,6 +5,7 @@
 //   wrpt_cli optimize <circuit> [--out weights.txt] [--estimator cop]
 //                     [--threads N]
 //   wrpt_cli simulate <circuit> [--weights file] [--patterns 4096]
+//                     [--seed 1] [--threads N]
 //   wrpt_cli atpg     <circuit> [--backtracks 512]
 //   wrpt_cli selftest <circuit> [--weights file] [--patterns 4096]
 //   wrpt_cli batch    <dir>     [--threads N] [--stage-threads N]
@@ -194,6 +195,9 @@ int cmd_simulate(const cli_options& opt) {
     const auto faults = generate_full_faults(nl);
     fault_sim_options fo;
     fo.max_patterns = opt.flag_u64("patterns", 4096);
+    // 0 = the shared pool's parallel schedule; 1 = sequential. The
+    // counts are identical for every value.
+    fo.threads = static_cast<unsigned>(opt.flag_u64("threads", 0));
     stopwatch sw;
     const auto res = run_weighted_fault_simulation(
         nl, faults, load_weights(opt, nl), opt.flag_u64("seed", 1), fo);
