@@ -53,8 +53,9 @@ register_circuit_response registry::register_circuit(
     out.gates = st.gate_count;
     // Lazy residency: add the row but compile nothing — the first named
     // job pays for the view.
+    out.circuit = session_.add_uncompiled(std::move(nl), tenant);
     entry& e = entries_[address];
-    e.handle = out.circuit = session_.add_uncompiled(std::move(nl), tenant);
+    e.handle = out.circuit;
     ++ts.circuits;
     touch(e);
     return out;

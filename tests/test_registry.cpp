@@ -535,7 +535,8 @@ TEST(registry, cache_byte_quota_evicts_the_tenants_entries) {
 // revision/time normalization) to one of the two single-threaded
 // reference answers — a torn view would produce a third value — and the
 // only acceptable failures are typed registry envelopes. Run under TSan
-// in CI, this is also the data-race proof for the registry lock order.
+// in CI, this is also the data-race proof for the session lock that
+// guards the registry and the circuit table together.
 TEST(registry, hot_reload_race_yields_only_whole_revision_answers) {
     const std::string bench_a = tiny_bench(2, "race");
     const std::string bench_b = tiny_bench(3, "race");
