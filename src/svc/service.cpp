@@ -491,16 +491,16 @@ void service::insert_cached(cache_locator key, std::uint64_t cost,
 }
 
 void service::tenant_bytes_add(std::size_t circuit, std::int64_t delta) {
-    // Caller holds cache_mutex_.
+    // Caller holds cache_mutex_, and session_mutex_ shared for the row.
     const std::string& tenant = session_->tenant(circuit);
-    if (tenant.empty()) return;  // handle-loaded circuit: untracked
+    if (tenant.empty()) return;  // load_circuit circuit: untracked
     std::uint64_t& bytes = tenant_bytes_[tenant];
     bytes = static_cast<std::uint64_t>(static_cast<std::int64_t>(bytes) +
                                        delta);
 }
 
 void service::enforce_tenant_cache_quota(std::size_t circuit) {
-    // Caller holds cache_mutex_.
+    // Caller holds cache_mutex_, and session_mutex_ shared for the rows.
     const std::uint64_t cap = options_.tenant_quota.max_cache_bytes;
     if (cap == 0) return;
     const std::string& tenant = session_->tenant(circuit);
