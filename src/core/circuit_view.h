@@ -10,7 +10,7 @@
 // per-input re-analysis from O(nodes) into O(cone).
 //
 // A view is immutable after compile() and safe to share across threads;
-// the block-parallel fault simulator hands one view to every worker.
+// the fault simulator hands one view to every fault chunk.
 // Node ids are dense and topologically ordered (inherited from netlist
 // construction), so ascending id order is a forward sweep and descending
 // id order a backward sweep.

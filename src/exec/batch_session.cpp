@@ -177,8 +177,9 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
             } else if constexpr (std::is_same_v<T, svc::fault_sim_request>) {
                 fault_sim_options fo;
                 fo.max_patterns = p.patterns;
-                // Jobs fill the pool; block-level parallelism inside one
-                // simulation would oversubscribe it.
+                // Jobs fill the pool, so the simulation runs as one fault
+                // chunk on this job's thread; splitting its faults across
+                // the shared pool would oversubscribe the machine.
                 fo.threads = 1;
                 weighted_random_source source(weights, p.seed);
                 const fault_sim_result sim =

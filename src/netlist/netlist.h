@@ -149,7 +149,7 @@ private:
 
     // Lazy fanout structure with a double-checked build: const accessors
     // (fanouts, fanout_cone, stats) may be called concurrently — the
-    // block-parallel fault simulator does — so the build is guarded by a
+    // fault simulator's chunks do — so the build is guarded by a
     // mutex behind an atomic fast path. Mutation (add_*) stays
     // single-threaded by contract and just invalidates the flag.
     // The wrapper restores copy/move for netlist (atomics have neither).

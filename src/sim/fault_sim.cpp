@@ -1,15 +1,13 @@
 #include "sim/fault_sim.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <deque>
+#include <span>
 
 #include "core/circuit_view.h"
 #include "exec/thread_pool.h"
 #include "sim/logic_sim.h"
 #include "util/error.h"
-#include "util/sync.h"
 
 namespace wrpt {
 
@@ -22,207 +20,104 @@ std::size_t fault_sim_result::detected_within(std::uint64_t n) const {
 
 namespace {
 
-constexpr std::uint64_t never = ~0ULL;
+/// Blocks drawn from the source per round: each round is one parallel_for
+/// over the fault chunks, so the window trades the source's draw-ahead
+/// against the per-round join.
+constexpr std::size_t window_blocks = 64;
 
-/// The shared pattern window of one parallel run: blocks are drawn from
-/// the (stateful, single-threaded) source lazily and in order under the
-/// mutex, so workers see exactly the patterns the sequential path would.
-/// `base` is the block index of blocks.front().
-struct block_queue {
-    wrpt::mutex mutex;
-    std::deque<std::vector<std::uint64_t>> blocks WRPT_GUARDED_BY(mutex);
-    std::uint64_t base WRPT_GUARDED_BY(mutex) = 0;
+/// One fault chunk: a private simulator over the shared view and the
+/// live (still undetected) fault indices it owns.
+struct chunk {
+    simulator sim;
+    std::vector<std::size_t> live;
+    std::uint64_t applied = 0;
 };
 
-/// Sequential PPSFP with fault dropping: one simulator, blocks in order,
-/// the live list shrinks as faults are detected.
-fault_sim_result run_sequential(const circuit_view& cv,
-                                const std::vector<fault>& faults,
-                                pattern_source& source,
-                                const fault_sim_options& options) {
-    simulator sim(cv);
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-
-    // Live list holds indices of still-undetected faults (fault dropping).
-    std::vector<std::size_t> live(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) live[i] = i;
-
-    std::vector<std::uint64_t> words;
-    std::uint64_t applied = 0;
-    while (applied < options.max_patterns && !live.empty()) {
-        source.next_block(words);
-        sim.simulate(words);
+/// PPSFP with fault dropping over one window: blocks in order, the live
+/// list shrinks as faults are detected. A fault's first detection depends
+/// on no other fault, so running each chunk alone gives the result of
+/// running every fault in one list.
+void run_window(chunk& c, const std::vector<fault>& faults,
+                std::span<const std::vector<std::uint64_t>> window,
+                std::uint64_t max_patterns,
+                std::vector<std::optional<std::uint64_t>>& first_detected) {
+    for (const auto& words : window) {
+        if (c.live.empty()) return;
+        c.sim.simulate(words);
         const std::uint64_t block_size =
-            std::min<std::uint64_t>(64, options.max_patterns - applied);
+            std::min<std::uint64_t>(64, max_patterns - c.applied);
         const std::uint64_t valid_mask =
             block_size == 64 ? ~0ULL : ((1ULL << block_size) - 1);
 
         std::size_t keep = 0;
-        for (std::size_t idx = 0; idx < live.size(); ++idx) {
-            const std::size_t fi = live[idx];
-            const std::uint64_t mask = sim.detect_mask(faults[fi]) & valid_mask;
+        for (const std::size_t fi : c.live) {
+            const std::uint64_t mask =
+                c.sim.detect_mask(faults[fi]) & valid_mask;
             if (mask == 0) {
-                live[keep++] = fi;
+                c.live[keep++] = fi;
                 continue;
             }
-            res.first_detected[fi] =
-                applied + static_cast<std::uint64_t>(std::countr_zero(mask));
-            ++res.detected_count;
+            first_detected[fi] =
+                c.applied + static_cast<std::uint64_t>(std::countr_zero(mask));
         }
-        live.resize(keep);
-        applied += block_size;
+        c.live.resize(keep);
+        c.applied += block_size;
     }
-    res.patterns_applied = applied;
-    return res;
-}
-
-/// Block-parallel PPSFP: `workers` items of one parallel_for on the
-/// shared thread pool (the caller runs one of them) pull 64-pattern
-/// blocks off an atomic queue, each with a private simulator over the
-/// shared view. Per-fault first detections combine by atomic minimum,
-/// which makes the result independent of worker scheduling and identical
-/// to the sequential run.
-///
-/// Early exit matches the sequential accounting: workers stop pulling new
-/// blocks once every fault is detected. Blocks are pulled in ascending
-/// index order, so by then every block below the last detecting one has
-/// been (or is being) processed, and first detections are exact minima.
-fault_sim_result run_parallel(const circuit_view& cv,
-                              const std::vector<fault>& faults,
-                              pattern_source& source,
-                              const fault_sim_options& options,
-                              unsigned workers) {
-    const std::uint64_t block_count =
-        (options.max_patterns + 63) / 64;
-    const std::size_t input_count = cv.input_count();
-
-    // Consumed blocks (moved out, hence empty) are popped from the
-    // window's front, bounding live memory to the not-yet-pulled window —
-    // without materializing blocks the run may never reach.
-    block_queue window;
-
-    std::vector<std::atomic<std::uint64_t>> first(faults.size());
-    for (auto& f : first) f.store(never, std::memory_order_relaxed);
-    std::atomic<std::uint64_t> next_block{0};
-    std::atomic<std::size_t> undetected{faults.size()};
-
-    auto worker_body = [&]() {
-        simulator sim(cv);
-        for (;;) {
-            if (undetected.load(std::memory_order_acquire) == 0) return;
-            const std::uint64_t b =
-                next_block.fetch_add(1, std::memory_order_relaxed);
-            if (b >= block_count) return;
-            // The puller of block b is its sole consumer: move the words
-            // out and drop the emptied leading slots.
-            std::vector<std::uint64_t> words;
-            {
-                lock_guard lock(window.mutex);
-                while (window.base + window.blocks.size() <= b) {
-                    std::vector<std::uint64_t>& fresh =
-                        window.blocks.emplace_back();
-                    source.next_block(fresh);
-                    require(fresh.size() == input_count,
-                            "fault sim: pattern source word count != "
-                            "input count");
-                }
-                words = std::move(
-                    window.blocks[static_cast<std::size_t>(b - window.base)]);
-                while (!window.blocks.empty() &&
-                       window.blocks.front().empty()) {
-                    window.blocks.pop_front();
-                    ++window.base;
-                }
-            }
-            const std::uint64_t block_start = b * 64;
-            const std::uint64_t block_size = std::min<std::uint64_t>(
-                64, options.max_patterns - block_start);
-            const std::uint64_t valid_mask =
-                block_size == 64 ? ~0ULL : ((1ULL << block_size) - 1);
-            sim.simulate(words);
-            for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-                // Fault dropping across blocks: a detection in an earlier
-                // block can never be improved by this one.
-                if (first[fi].load(std::memory_order_relaxed) < block_start)
-                    continue;
-                const std::uint64_t mask =
-                    sim.detect_mask(faults[fi]) & valid_mask;
-                if (mask == 0) continue;
-                const std::uint64_t t =
-                    block_start +
-                    static_cast<std::uint64_t>(std::countr_zero(mask));
-                std::uint64_t cur = first[fi].load(std::memory_order_relaxed);
-                bool claimed = false;
-                while (t < cur) {
-                    if (first[fi].compare_exchange_weak(
-                            cur, t, std::memory_order_relaxed)) {
-                        claimed = cur == never;
-                        break;
-                    }
-                }
-                if (claimed)
-                    undetected.fetch_sub(1, std::memory_order_release);
-            }
-        }
-    };
-
-    // The pool rethrows the first worker error on the caller's thread, so
-    // the parallel path surfaces the same catchable errors (bad pattern
-    // source, word-count mismatch) the sequential path does.
-    shared_thread_pool().parallel_for(workers, [&](std::size_t) {
-        try {
-            worker_body();
-        } catch (...) {
-            // Drain the queue so the other workers wind down promptly.
-            next_block.store(block_count, std::memory_order_relaxed);
-            throw;
-        }
-    });
-
-    fault_sim_result res;
-    res.first_detected.assign(faults.size(), std::nullopt);
-    std::uint64_t last = 0;
-    bool all_detected = true;
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-        const std::uint64_t t = first[fi].load(std::memory_order_relaxed);
-        if (t == never) {
-            all_detected = false;
-            continue;
-        }
-        res.first_detected[fi] = t;
-        ++res.detected_count;
-        last = std::max(last, t);
-    }
-    // Mirror the sequential accounting: the run stops after the block in
-    // which the live list drained; otherwise the full budget is applied.
-    if (all_detected)
-        res.patterns_applied =
-            std::min<std::uint64_t>(options.max_patterns, (last / 64 + 1) * 64);
-    else
-        res.patterns_applied = options.max_patterns;
-    return res;
 }
 
 }  // namespace
 
+/// Fault-partitioned PPSFP. Chunk c owns faults c, c+k, c+2k, … (strided,
+/// which balances the load). The caller draws a window of blocks from the
+/// single-threaded source, then the chunks run over it as the items of one
+/// parallel_for on the shared pool. Chunks write disjoint first_detected
+/// entries, so the result is the same for every k; threads 1 is k = 1.
 fault_sim_result run_fault_simulation(const circuit_view& cv,
                                       const std::vector<fault>& faults,
                                       pattern_source& source,
                                       const fault_sim_options& options) {
     require(options.max_patterns > 0, "fault sim: max_patterns must be > 0");
-    // 0 = the shared pool's workers plus the caller. No point running
-    // more workers (each with its own simulator scratch) than there are
-    // 64-pattern blocks.
-    const unsigned threads =
-        options.threads == 0 ? shared_thread_pool().size() + 1
-                             : options.threads;
-    const std::uint64_t block_count = (options.max_patterns + 63) / 64;
-    const unsigned workers =
-        static_cast<unsigned>(std::min<std::uint64_t>(threads, block_count));
-    if (workers <= 1 || faults.empty())
-        return run_sequential(cv, faults, source, options);
-    return run_parallel(cv, faults, source, options, workers);
+    // 0 = the shared pool's workers plus the caller. k = 1 runs on the
+    // caller alone and leaves the pool untouched.
+    std::size_t k = std::min<std::size_t>(
+        options.threads == 0 ? faults.size() : options.threads, faults.size());
+    if (k > 1) k = std::min<std::size_t>(k, shared_thread_pool().size() + 1);
+    k = std::max<std::size_t>(k, 1);
+
+    std::vector<chunk> chunks;
+    chunks.reserve(k);
+    for (std::size_t c = 0; c < k; ++c) {
+        chunks.push_back({simulator(cv), {}});
+        for (std::size_t fi = c; fi < faults.size(); fi += k)
+            chunks.back().live.push_back(fi);
+    }
+
+    fault_sim_result res;
+    res.first_detected.assign(faults.size(), std::nullopt);
+    std::vector<std::vector<std::uint64_t>> window(window_blocks);
+    std::uint64_t drawn = 0;
+    const auto any_live = [&] {
+        return std::any_of(chunks.begin(), chunks.end(),
+                           [](const chunk& c) { return !c.live.empty(); });
+    };
+    while (drawn < options.max_patterns && any_live()) {
+        std::size_t blocks = 0;
+        for (; blocks < window_blocks && drawn < options.max_patterns;
+             ++blocks, drawn += 64)
+            source.next_block(window[blocks]);
+        const auto body = [&](std::size_t c) {
+            run_window(chunks[c], faults, std::span(window).first(blocks),
+                       options.max_patterns, res.first_detected);
+        };
+        if (k == 1)
+            body(0);
+        else
+            shared_thread_pool().parallel_for(k, body);
+    }
+    for (const chunk& c : chunks)
+        res.patterns_applied = std::max(res.patterns_applied, c.applied);
+    res.detected_count = res.detected_within(res.patterns_applied);
+    return res;
 }
 
 fault_sim_result run_fault_simulation(const netlist& nl,

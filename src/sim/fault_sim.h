@@ -1,5 +1,8 @@
 // Parallel-pattern single-fault-propagation (PPSFP) fault simulation with
-// fault dropping — regenerates the paper's Tables 2/4 and Fig. 2.
+// fault dropping — regenerates the paper's Tables 2/4 and Fig. 2. One
+// schedule: the fault list is split into strided chunks, and each chunk
+// runs the sequential drop loop over the same pattern blocks on its own
+// simulator, so the result does not depend on the thread count.
 
 #pragma once
 
@@ -17,14 +20,14 @@ class circuit_view;
 
 struct fault_sim_options {
     std::uint64_t max_patterns = 4096;
-    /// Workers for block-parallel PPSFP: 0 = the shared thread pool's
-    /// workers plus the caller, 1 = sequential. Workers share one compiled
-    /// circuit_view and pull 64-pattern blocks off an atomic work queue;
-    /// per-fault first detections combine by atomic minimum, so the result
-    /// is identical to the sequential run for the same pattern source. The
-    /// parallel path draws blocks from `source` lazily in pull order and
-    /// may draw up to `threads` blocks more than the sequential path
-    /// before the all-detected early exit stops the workers.
+    /// Fault chunks run in parallel: 0 = the shared thread pool's workers
+    /// plus the caller, 1 = one chunk on the caller's thread. The count is
+    /// capped at the pool's workers plus the caller and at the fault
+    /// count. Chunks share one compiled circuit_view and each owns a
+    /// disjoint part of the fault list, so the result is identical for
+    /// every value. `source` is drawn a window of blocks at a time, so a
+    /// run that detects every fault early may have drawn up to one window
+    /// more than it applied; every caller builds its source for one run.
     unsigned threads = 0;
 };
 

@@ -1,7 +1,7 @@
 // Tests for the compiled circuit_view core and the refactor's equivalence
 // guarantees: view structure vs the netlist it compiles, incremental
-// cone-restricted COP updates vs full recomputation, and block-parallel vs
-// sequential fault simulation.
+// cone-restricted COP updates vs full recomputation, and multi-chunk vs
+// one-chunk fault simulation.
 
 #include "core/circuit_view.h"
 

@@ -1101,7 +1101,12 @@ TEST(server, thread_count_does_not_scale_with_connections) {
     for (auto& p : parked) p.connect(srv.where(), 2000);
     // Make sure every parked connection is truly registered, not still
     // in the backlog: the admission counter is the reactor's own view.
-    for (int spin = 0; spin < 500 && srv.stats().accepted < 51; ++spin)
+    // A loaded host can take well over a second to accept 51 peers, so
+    // wait on a deadline and return as soon as the count is reached.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (srv.stats().accepted < 51 &&
+           std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     EXPECT_EQ(srv.stats().accepted, 51u);
     EXPECT_EQ(srv.stats().active, 51u);

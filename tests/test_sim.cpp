@@ -290,39 +290,72 @@ TEST(fault_sim, suite_matches_golden) {
     }
 }
 
+// TSan multiplies runtimes; the thread-count suite thins S2's fault list
+// under it but keeps the same chunk shapes.
+#if defined(__SANITIZE_THREAD__)
+#define WRPT_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define WRPT_TSAN 1
+#endif
+#endif
+#ifndef WRPT_TSAN
+#define WRPT_TSAN 0
+#endif
+
+/// Runs `faults` at each thread count against the threads 1 reference;
+/// every count must give the same first detections and stopping point.
+void expect_thread_count_invariant(
+    const netlist& nl, const std::vector<fault>& faults, std::uint64_t budget,
+    std::initializer_list<unsigned> thread_counts) {
+    const weight_vector w = uniform_weights(nl);
+    fault_sim_options ref;
+    ref.max_patterns = budget;
+    ref.threads = 1;
+    const fault_sim_result want =
+        run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
+
+    for (const unsigned threads : thread_counts) {
+        fault_sim_options o = ref;
+        o.threads = threads;
+        const fault_sim_result got =
+            run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
+        SCOPED_TRACE(nl.name() + " budget " + std::to_string(budget) +
+                     " t" + std::to_string(threads));
+        EXPECT_EQ(want.patterns_applied, got.patterns_applied);
+        EXPECT_EQ(want.detected_count, got.detected_count);
+        ASSERT_EQ(want.first_detected.size(), got.first_detected.size());
+        for (std::size_t i = 0; i < want.first_detected.size(); ++i)
+            ASSERT_EQ(want.first_detected[i], got.first_detected[i])
+                << "fault " << i;
+    }
+}
+
 // The full fault-simulation result — first_detected per fault AND
 // patterns_applied — is invariant across thread counts, including budgets
-// that are not multiples of 64 times the thread count.
-TEST(SimdFaultSim, ParallelBitIdentical) {
+// that are not multiples of 64. Fault chunks are strided over the fault
+// list, so 3 threads gives uneven chunks and 64 asks for far more chunks
+// than the pool can run.
+TEST(fault_sim, thread_count_invariant) {
     for (const char* name : {"S1", "c432"}) {
         const netlist nl = build_suite_circuit(name);
         const std::vector<fault> faults = generate_full_faults(nl);
-        const weight_vector w = uniform_weights(nl);
-
-        for (std::uint64_t budget : {320u, 832u}) {
-            fault_sim_options ref;
-            ref.max_patterns = budget;
-            ref.threads = 1;
-            const fault_sim_result want =
-                run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
-
-            for (unsigned threads : {1u, 2u, 8u}) {
-                fault_sim_options o = ref;
-                o.threads = threads;
-                const fault_sim_result got =
-                    run_weighted_fault_simulation(nl, faults, w, 0xfeed, o);
-                SCOPED_TRACE(std::string(name) + " t" +
-                             std::to_string(threads));
-                EXPECT_EQ(want.patterns_applied, got.patterns_applied);
-                EXPECT_EQ(want.detected_count, got.detected_count);
-                ASSERT_EQ(want.first_detected.size(),
-                          got.first_detected.size());
-                for (std::size_t i = 0; i < want.first_detected.size(); ++i)
-                    ASSERT_EQ(want.first_detected[i], got.first_detected[i])
-                        << "fault " << i;
-            }
-        }
+        for (const std::uint64_t budget : {320u, 832u})
+            expect_thread_count_invariant(nl, faults, budget,
+                                          {1u, 2u, 3u, 8u, 64u});
     }
+    // S2's 21k faults are the load the chunks are for; its budget (a
+    // partial tail block) keeps the test short.
+    const netlist s2 = build_suite_circuit("S2");
+    std::vector<fault> s2_faults;
+    const std::vector<fault> all = generate_full_faults(s2);
+    for (std::size_t i = 0; i < all.size(); i += WRPT_TSAN ? 16 : 1)
+        s2_faults.push_back(all[i]);
+    expect_thread_count_invariant(s2, s2_faults, 200, {1u, 2u, 3u, 8u, 64u});
+    // One fault: the chunk count is capped at the fault count.
+    const netlist nl = build_suite_circuit("c432");
+    const std::vector<fault> one{generate_full_faults(nl).back()};
+    expect_thread_count_invariant(nl, one, 832, {8u});
 }
 
 TEST(patterns, explicit_source_padding_and_order) {

@@ -56,6 +56,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -88,6 +90,25 @@ namespace {
 
 using namespace wrpt;
 
+/// A malformed flag value: main prints it with the usage text.
+class usage_error : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// Decimal digits only, at most `max`: "-1" and values that would wrap in
+/// the caller's narrower type are usage errors, not huge numbers.
+std::uint64_t parse_u64(const std::string& name, const std::string& text,
+                        std::uint64_t max) {
+    std::uint64_t v = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
+        throw usage_error("--" + name + " takes an integer in [0, " +
+                          std::to_string(max) + "], got '" + text + "'");
+    return v;
+}
+
 struct cli_options {
     std::string command;
     std::string circuit;
@@ -101,9 +122,10 @@ struct cli_options {
         auto it = flags.find(name);
         return it == flags.end() ? fallback : std::stod(it->second);
     }
-    std::uint64_t flag_u64(const std::string& name, std::uint64_t fallback) const {
+    std::uint64_t flag_u64(const std::string& name, std::uint64_t fallback,
+                           std::uint64_t max = UINT64_MAX) const {
         auto it = flags.find(name);
-        return it == flags.end() ? fallback : std::stoull(it->second);
+        return it == flags.end() ? fallback : parse_u64(name, it->second, max);
     }
 };
 
@@ -164,7 +186,7 @@ int cmd_optimize(const cli_options& opt) {
     // (optimize_options::threads). Results are bit-identical for every
     // thread count.
     const unsigned threads =
-        static_cast<unsigned>(opt.flag_u64("threads", 1));
+        static_cast<unsigned>(opt.flag_u64("threads", 1, UINT_MAX));
     estimator->set_threads(threads);
     optimize_options oo;
     oo.threads = threads;
@@ -195,9 +217,9 @@ int cmd_simulate(const cli_options& opt) {
     const auto faults = generate_full_faults(nl);
     fault_sim_options fo;
     fo.max_patterns = opt.flag_u64("patterns", 4096);
-    // 0 = the shared pool's parallel schedule; 1 = sequential. The
-    // counts are identical for every value.
-    fo.threads = static_cast<unsigned>(opt.flag_u64("threads", 0));
+    // Fault chunks: 0 = the shared pool's workers plus this thread,
+    // 1 = one chunk here. The counts are identical for every value.
+    fo.threads = static_cast<unsigned>(opt.flag_u64("threads", 0, UINT_MAX));
     stopwatch sw;
     const auto res = run_weighted_fault_simulation(
         nl, faults, load_weights(opt, nl), opt.flag_u64("seed", 1), fo);
@@ -267,7 +289,7 @@ int cmd_batch(const cli_options& opt) {
     }
 
     svc::service::options so;
-    so.threads = static_cast<unsigned>(opt.flag_u64("threads", 0));
+    so.threads = static_cast<unsigned>(opt.flag_u64("threads", 0, UINT_MAX));
     so.confidence = opt.flag_double("confidence", 0.999);
     so.max_engines = opt.flag_u64("max-engines", 0);
     svc::service service(so);
@@ -301,7 +323,7 @@ int cmd_batch(const cli_options& opt) {
     // Per-job stage threads (sharded ANALYSIS/NORMALIZE inside one job);
     // default 1 because the jobs themselves fill the session pool.
     const unsigned stage_threads =
-        static_cast<unsigned>(opt.flag_u64("stage-threads", 1));
+        static_cast<unsigned>(opt.flag_u64("stage-threads", 1, UINT_MAX));
 
     // Two matrix requests over every circuit at uniform weights: the
     // analysis kind (optimize or test_length) and the validating fault
@@ -419,7 +441,8 @@ svc::registry::tenant_quota parse_tenant_quota(const std::string& spec) {
     std::istringstream in(spec);
     std::string part;
     for (int field = 0; std::getline(in, part, ':'); ++field) {
-        const std::uint64_t v = part.empty() ? 0 : std::stoull(part);
+        const std::uint64_t v =
+            part.empty() ? 0 : parse_u64("tenant-quota", part, UINT64_MAX);
         if (field == 0)
             q.max_circuits = static_cast<std::size_t>(v);
         else if (field == 1)
@@ -442,7 +465,7 @@ svc::registry::tenant_quota parse_tenant_quota(const std::string& spec) {
 // TCP port or unix-domain socket (svc::server), sharing one service.
 int cmd_serve(const cli_options& opt) {
     svc::service::options so;
-    so.threads = static_cast<unsigned>(opt.flag_u64("threads", 0));
+    so.threads = static_cast<unsigned>(opt.flag_u64("threads", 0, UINT_MAX));
     so.confidence = opt.flag_double("confidence", 0.999);
     so.max_engines = opt.flag_u64("max-engines", 0);
     so.max_cache_entries = opt.flag_u64("max-cache", 0);
@@ -475,13 +498,13 @@ int cmd_serve(const cli_options& opt) {
             svc::server::options vo;
             vo.max_line_bytes = opt.flag_u64("max-line", vo.max_line_bytes);
             vo.idle_timeout_ms = static_cast<int>(
-                opt.flag_u64("idle-timeout-ms", 0));
+                opt.flag_u64("idle-timeout-ms", 0, INT_MAX));
             vo.send_timeout_ms = static_cast<int>(opt.flag_u64(
                 "send-timeout-ms",
-                static_cast<std::uint64_t>(vo.send_timeout_ms)));
+                static_cast<std::uint64_t>(vo.send_timeout_ms), INT_MAX));
             vo.max_connections = opt.flag_u64("max-connections", 0);
             vo.workers =
-                static_cast<unsigned>(opt.flag_u64("workers", 0));
+                static_cast<unsigned>(opt.flag_u64("workers", 0, UINT_MAX));
             vo.max_pending_requests =
                 opt.flag_u64("queue-depth", vo.max_pending_requests);
             vo.max_queue_bytes =
@@ -549,8 +572,8 @@ int cmd_serve(const cli_options& opt) {
 int cmd_request(const cli_options& opt) {
     try {
         const svc::endpoint ep = svc::endpoint::parse(opt.circuit);
-        svc::client client(
-            ep, static_cast<int>(opt.flag_u64("connect-timeout-ms", 5000)));
+        svc::client client(ep, static_cast<int>(opt.flag_u64(
+                                   "connect-timeout-ms", 5000, INT_MAX)));
         const std::string one = opt.flag("json", "");
         std::istringstream single(one);
         std::istream* in =
@@ -583,8 +606,8 @@ int cmd_request(const cli_options& opt) {
 int registry_roundtrip(const cli_options& opt, svc::request q) {
     try {
         const svc::endpoint ep = svc::endpoint::parse(opt.circuit);
-        svc::client client(
-            ep, static_cast<int>(opt.flag_u64("connect-timeout-ms", 5000)));
+        svc::client client(ep, static_cast<int>(opt.flag_u64(
+                                   "connect-timeout-ms", 5000, INT_MAX)));
         client.send_line(svc::encode(q));
         std::string resp;
         if (client.recv_line(resp) != svc::line_status::ok) {
@@ -710,6 +733,9 @@ int main(int argc, char** argv) {
         if (opt.command == "register") return cmd_register(opt, false);
         if (opt.command == "reload") return cmd_register(opt, true);
         if (opt.command == "catalog") return cmd_catalog(opt);
+        return usage();
+    } catch (const usage_error& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
         return usage();
     } catch (const wrpt::error& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
