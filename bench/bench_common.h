@@ -2,7 +2,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,22 +14,6 @@
 #include "sim/fault_sim.h"
 
 namespace wrpt::bench {
-
-/// Nearest-rank percentile of a sample set: the smallest sample with at
-/// least q of the distribution at or below it (q in [0, 1], so q = 0.5
-/// is the median and q = 0.99 the tail the serve benches report). Sorts
-/// a copy; an empty sample set reports 0.
-inline double percentile(std::vector<double> samples, double q) {
-    if (samples.empty()) return 0.0;
-    std::sort(samples.begin(), samples.end());
-    if (q <= 0.0) return samples.front();
-    if (q >= 1.0) return samples.back();
-    const double rank = q * static_cast<double>(samples.size());
-    std::size_t index = static_cast<std::size_t>(rank);
-    if (static_cast<double>(index) < rank) ++index;  // ceil
-    if (index == 0) index = 1;
-    return samples[index - 1];
-}
 
 /// Fault universe for coverage accounting: the full single-stuck-at list
 /// minus faults *proven* redundant (the paper's Table 2 accounting). The

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "exec/parallel_sort.h"
 #include "exec/thread_pool.h"
 #include "util/error.h"
 
@@ -85,24 +84,18 @@ int compare_jm_to_q(term_window& w, double m, double q, std::size_t& z_out) {
 }  // namespace
 
 std::vector<std::size_t> sort_faults(std::span<const double> probs) {
-    return sort_faults(probs, normalize_exec{});
-}
-
-std::vector<std::size_t> sort_faults(std::span<const double> probs,
-                                     const normalize_exec& exec) {
     std::vector<std::size_t> order;
     order.reserve(probs.size());
     for (std::size_t i = 0; i < probs.size(); ++i)
         if (probs[i] > 0.0) order.push_back(i);
-    // The candidates are in ascending index order, so the index
-    // tie-break reproduces std::stable_sort exactly — on one thread or
-    // many.
-    parallel_stable_sort_indices(
-        order,
-        [&probs](std::size_t a, std::size_t b) {
-            return probs[a] < probs[b];
-        },
-        exec.pool, exec.threads);
+    // Ties broken by index make the order a strict total one, so plain
+    // std::sort yields the unique permutation — exactly std::stable_sort's
+    // for candidates collected in ascending index order.
+    std::sort(order.begin(), order.end(),
+              [&probs](std::size_t a, std::size_t b) {
+                  if (probs[a] != probs[b]) return probs[a] < probs[b];
+                  return a < b;
+              });
     return order;
 }
 

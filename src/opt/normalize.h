@@ -20,17 +20,10 @@ namespace wrpt {
 
 class thread_pool;
 
-struct normalize_exec;
-
 /// Indices of `probs` sorted by increasing probability (SORT); faults with
 /// p <= 0 (proven or suspected undetectable) are excluded. Ties are held
-/// in ascending index order (== stable sort). The `exec` overload runs
-/// the deterministic sharded sort + pairwise merge on the pool; its
-/// output is identical to the sequential overload for every thread
-/// count.
+/// in ascending index order (== stable sort).
 std::vector<std::size_t> sort_faults(std::span<const double> probs);
-std::vector<std::size_t> sort_faults(std::span<const double> probs,
-                                     const normalize_exec& exec);
 
 /// Execution hints for the sharded NORMALIZE. The expensive part of one
 /// J_M-vs-Q decision is the exp(-p_i * M) terms; they are evaluated in

@@ -59,7 +59,7 @@ void analysis_stage::run(optimize_context& cx) {
 }
 
 void sort_stage::run(optimize_context& cx) {
-    cx.order = sort_faults(cx.probs, cx.exec);
+    cx.order = sort_faults(cx.probs);
     cx.res.zero_prob_faults = cx.faults.size() - cx.order.size();
 }
 
@@ -192,7 +192,7 @@ void saddle_escape_stage::run(optimize_context& cx) {
     for (int dir = 0; dir < 5; ++dir) {
         std::vector<double>& p = cand_results[dir];
         const normalize_result cn =
-            normalize_for(cx, p, sort_faults(p, cx.exec));
+            normalize_for(cx, p, sort_faults(p));
         if (cn.feasible && cn.test_length < best_cand_n) {
             best_cand_n = cn.test_length;
             best_cand = std::move(cands[dir]);
@@ -205,7 +205,7 @@ void saddle_escape_stage::run(optimize_context& cx) {
     }
     cx.res.weights = std::move(best_cand);
     cx.probs = std::move(cand_probs);
-    cx.order = sort_faults(cx.probs, cx.exec);
+    cx.order = sort_faults(cx.probs);
     cx.norm = normalize_for(cx, cx.probs, cx.order);
     cx.n_old = std::numeric_limits<double>::infinity();
     cx.n_new = cx.norm.test_length;

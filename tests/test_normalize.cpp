@@ -35,6 +35,25 @@ TEST(sort_faults, ascending_and_excludes_zeros) {
     EXPECT_EQ(order.front(), 2u);  // stable: first of the two 0.1 entries
 }
 
+// Heavy duplication: 40k faults over 97 distinct values, a few of them
+// p <= 0. The order must be std::stable_sort's over the p > 0 entries.
+TEST(sort_faults, matches_stable_sort_with_duplicates) {
+    rng r(0x50f7);
+    std::vector<double> probs(40000);
+    for (auto& p : probs)
+        p = (static_cast<double>(r.next_below(97)) - 3.0) / 97.0;
+
+    std::vector<std::size_t> want;
+    for (std::size_t i = 0; i < probs.size(); ++i)
+        if (probs[i] > 0.0) want.push_back(i);
+    ASSERT_LT(want.size(), probs.size());
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return probs[a] < probs[b];
+                     });
+    EXPECT_EQ(want, sort_faults(probs));
+}
+
 class normalize_random : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(normalize_random, matches_brute_force) {

@@ -7,11 +7,11 @@
 //
 //   dense-map     hot dirs (svc/, exec/, core/) use util/dense_map.h for
 //                 integer-keyed tables, not std::unordered_map/std::map.
-//   determinism   deterministic kernels (opt/, prob/, sim/,
-//                 exec/parallel_sort.h) must not call rand()/srand(),
-//                 use std::random_device or system_clock, or iterate an
-//                 unordered container (iteration order would leak into
-//                 results; lookup-only unordered maps are fine).
+//   determinism   deterministic kernels (opt/, prob/, sim/) must not
+//                 call rand()/srand(), use std::random_device or
+//                 system_clock, or iterate an unordered container
+//                 (iteration order would leak into results; lookup-only
+//                 unordered maps are fine).
 //   blocking-io   raw blocking ::send(/::recv(/::connect( calls live
 //                 only in svc/socket.cpp — everything above speaks the
 //                 stream/listener wrappers (the reactor requires
@@ -69,9 +69,8 @@ constexpr rule_info kRules[] = {
      "hot dirs (svc/, exec/, core/) use util/dense_map.h, not "
      "std::unordered_map/std::map"},
     {"determinism",
-     "deterministic kernels (opt/, prob/, sim/, exec/parallel_sort.h) must "
-     "not call rand/srand, use std::random_device/system_clock, or iterate "
-     "unordered containers"},
+     "deterministic kernels (opt/, prob/, sim/) must not call rand/srand, "
+     "use std::random_device/system_clock, or iterate unordered containers"},
     {"blocking-io",
      "raw blocking ::send(/::recv(/::connect( only inside svc/socket.cpp"},
     {"raw-mutex",
@@ -564,8 +563,7 @@ bool lint_file(const std::string& path, lint_result& res) {
          has_component(comps, "core")))
         check_dense_map(path, lines, found);
     if (has_component(comps, "opt") || has_component(comps, "prob") ||
-        has_component(comps, "sim") ||
-        ends_with(comps, "exec", "parallel_sort.h"))
+        has_component(comps, "sim"))
         check_determinism(path, lines, found);
     if (!ends_with(comps, "svc", "socket.cpp"))
         check_blocking_io(path, lines, found);

@@ -58,6 +58,7 @@
 #include <cerrno>
 #include <charconv>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -109,6 +110,18 @@ std::uint64_t parse_u64(const std::string& name, const std::string& text,
     return v;
 }
 
+/// The whole string as one finite decimal number: junk ("abc") and a
+/// trailing suffix ("0.5x") are usage errors, not a crash or a silent 0.5.
+double parse_double(const std::string& name, const std::string& text) {
+    double v = 0.0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc() || ptr != end || !std::isfinite(v))
+        throw usage_error("--" + name + " takes a number, got '" + text +
+                          "'");
+    return v;
+}
+
 struct cli_options {
     std::string command;
     std::string circuit;
@@ -120,7 +133,7 @@ struct cli_options {
     }
     double flag_double(const std::string& name, double fallback) const {
         auto it = flags.find(name);
-        return it == flags.end() ? fallback : std::stod(it->second);
+        return it == flags.end() ? fallback : parse_double(name, it->second);
     }
     std::uint64_t flag_u64(const std::string& name, std::uint64_t fallback,
                            std::uint64_t max = UINT64_MAX) const {
