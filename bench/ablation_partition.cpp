@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "exec/thread_pool.h"
 #include "gen/pathological.h"
 #include "io/weights_io.h"
 #include "opt/partition.h"
@@ -51,10 +52,12 @@ int main() {
         optimize_partitioned(nl, faults, analysis, uniform_weights(nl));
     std::vector<bool> covered(faults.size(), false);
     std::uint64_t budget = 0;
+    thread_pool pool;  // the simulations' one pool, hardware-sized
     for (const auto& s : res.sessions) {
         fault_sim_options fo;
         fo.max_patterns =
             static_cast<std::uint64_t>(s.test_length) + 64;
+        fo.pool = &pool;
         budget += fo.max_patterns;
         const auto sim =
             run_weighted_fault_simulation(nl, faults, s.weights, 0xc3, fo);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "atpg/podem.h"
+#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/suite.h"
 #include "io/weights_io.h"
@@ -18,7 +19,8 @@ namespace wrpt::bench {
 /// Fault universe for coverage accounting: the full single-stuck-at list
 /// minus faults *proven* redundant (the paper's Table 2 accounting). The
 /// proof is a bounded PODEM pass over the faults a quick random-pattern
-/// prefilter could not detect; aborted faults stay in the universe.
+/// prefilter (simulated on `pool`) could not detect; aborted faults stay
+/// in the universe.
 struct accounted_faults {
     std::vector<fault> faults;       ///< full fault list
     std::vector<bool> redundant;     ///< proven-undetectable flags
@@ -39,7 +41,7 @@ struct accounted_faults {
     }
 };
 
-inline accounted_faults account_faults(const netlist& nl,
+inline accounted_faults account_faults(const netlist& nl, thread_pool& pool,
                                        std::size_t backtrack_limit = 64) {
     accounted_faults out;
     out.faults = generate_full_faults(nl);
@@ -48,6 +50,7 @@ inline accounted_faults account_faults(const netlist& nl,
     // Random prefilter: anything detected is certainly not redundant.
     fault_sim_options fo;
     fo.max_patterns = 2048;
+    fo.pool = &pool;
     const fault_sim_result pre = run_weighted_fault_simulation(
         nl, out.faults, uniform_weights(nl), 0xacc0, fo);
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "exec/thread_pool.h"
 #include "gen/comparator.h"
 #include "io/weights_io.h"
 #include "opt/optimizer.h"
@@ -23,8 +24,10 @@ int main() {
     const optimize_result opt =
         optimize_weights(nl, faults, analysis, uniform_weights(nl));
 
+    thread_pool pool;  // the simulations' one pool, hardware-sized
     fault_sim_options fo;
     fo.max_patterns = 12288;
+    fo.pool = &pool;
     const auto conventional = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 0xf162, fo);
     const auto optimized =

@@ -20,12 +20,14 @@ int main() {
                   "Coverage% (ours)", "of all faults%", "proven redundant",
                   "unclassified"});
 
+    thread_pool pool;  // the simulations' one pool, hardware-sized
     stopwatch total;
     for (const auto& entry : hard_suite()) {
         const netlist nl = entry.build();
-        const auto acc = account_faults(nl);
+        const auto acc = account_faults(nl, pool);
         fault_sim_options fo;
         fo.max_patterns = entry.paper_sim_patterns;
+        fo.pool = &pool;
         const auto sim = run_weighted_fault_simulation(
             nl, acc.faults, uniform_weights(nl), 0x7ab1e2, fo);
         t.add_row({entry.name, format_count(entry.paper_sim_patterns),

@@ -20,16 +20,18 @@ int main() {
     t.set_header({"Circuit", "Patterns", "Coverage% (paper)",
                   "Coverage% (ours)", "of all faults%", "conv% (ours)"});
 
+    thread_pool pool;  // the simulations' one pool, hardware-sized
     stopwatch total;
     for (const auto& entry : hard_suite()) {
         const netlist nl = entry.build();
-        const auto acc = account_faults(nl);
+        const auto acc = account_faults(nl, pool);
         cop_detect_estimator analysis;
         const optimize_result opt =
             optimize_weights(nl, acc.faults, analysis, uniform_weights(nl));
 
         fault_sim_options fo;
         fo.max_patterns = entry.paper_sim_patterns;
+        fo.pool = &pool;
         const auto conv = run_weighted_fault_simulation(
             nl, acc.faults, uniform_weights(nl), 0x7ab1e4, fo);
         const auto sim = run_weighted_fault_simulation(

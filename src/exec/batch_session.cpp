@@ -153,7 +153,7 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
         [&](const auto& p) {
             using T = std::decay_t<decltype(p)>;
             if constexpr (std::is_same_v<T, svc::test_length_request>) {
-                cop_detect_estimator analysis;
+                cop_detect_estimator analysis(pool_.get());
                 // Adopting the circuit's warm pool shares engines built by
                 // earlier jobs and earlier run() calls; the estimator's
                 // own state stays private.
@@ -163,11 +163,13 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
                 r.length = required_test_length(nl, cc.faults, analysis,
                                                 weights, conf, p.threads);
             } else if constexpr (std::is_same_v<T, svc::optimize_request>) {
-                cop_detect_estimator analysis;
+                cop_detect_estimator analysis(pool_.get());
                 analysis.adopt_pool(cc.pool);
-                // Stage/probe parallelism stays inside the job's own slice
-                // of the pool: jobs are the outer parallel dimension here,
-                // so each job defaults to sequential stages (threads 1).
+                // A job's stage and probe shards run on the session pool
+                // too, so a tenant's threads never adds a thread: the job
+                // drains its own items when every worker is busy. Jobs
+                // are the outer parallel dimension here, so each job
+                // defaults to sequential stages (threads 1).
                 analysis.set_threads(p.options.threads);
                 r.optimized = optimize_weights(nl, cc.faults, analysis,
                                                weights, p.options);
@@ -177,9 +179,9 @@ batch_session::result batch_session::run_one(const svc::job_request& j) const {
             } else if constexpr (std::is_same_v<T, svc::fault_sim_request>) {
                 fault_sim_options fo;
                 fo.max_patterns = p.patterns;
+                fo.pool = pool_.get();
                 // Jobs fill the pool, so the simulation runs as one fault
-                // chunk on this job's thread; splitting its faults across
-                // the shared pool would oversubscribe the machine.
+                // chunk on this job's thread.
                 fo.threads = 1;
                 weighted_random_source source(weights, p.seed);
                 const fault_sim_result sim =

@@ -51,6 +51,8 @@ class batch_session {
 public:
     struct options {
         /// Worker threads for the session pool (0 = hardware threads).
+        /// Every job's stage shards and fault chunks run on this pool
+        /// too, so a job never starts threads of its own.
         unsigned threads = 0;
         /// Confidence for test_length jobs that leave their own at 0.
         double confidence = 0.999;

@@ -175,9 +175,4 @@ void thread_pool::parallel_for(std::size_t count,
     if (eptr) std::rethrow_exception(eptr);
 }
 
-thread_pool& shared_thread_pool() {
-    static thread_pool pool;
-    return pool;
-}
-
 }  // namespace wrpt

@@ -15,6 +15,10 @@
 // results[i] from item i gets thread-count-independent output. All
 // parallel paths in this repo (batched PREPARE, batch_session) follow
 // that pattern.
+//
+// Ownership: there is no process-wide pool. Every parallel loop runs on a
+// pool its caller owns and passes down (batch_session's, the CLI's, a
+// bench's or a test's), so a process runs only the threads it asked for.
 
 #pragma once
 
@@ -74,9 +78,5 @@ private:
     std::size_t next_queue_ WRPT_GUARDED_BY(idle_mutex_) = 0;  // round-robin
     bool stop_ WRPT_GUARDED_BY(idle_mutex_) = false;
 };
-
-/// Process-wide pool sized to the hardware — shared by callers that have
-/// no pool of their own (the cop estimator's batched probe path).
-thread_pool& shared_thread_pool();
 
 }  // namespace wrpt

@@ -114,10 +114,12 @@ collapsed_faults collapse_faults(const netlist& nl,
     };
     // The fault "value v on pin k of gate g", expressed on the line that
     // actually carries it: the branch when the driver has fanout > 1,
-    // otherwise the driver's stem.
+    // otherwise the driver's stem. A driver that is also a primary output
+    // is observed there, so its stem fault is not the pin fault; the
+    // branch is not in the list either, and the lookup merges nothing.
     auto input_fault = [&](node_id g, std::size_t k, stuck_at v) -> fault {
         const node_id drv = nl.fanins(g)[k];
-        if (nl.fanout_count(drv) > 1)
+        if (nl.fanout_count(drv) > 1 || nl.is_output(drv))
             return {g, static_cast<std::int32_t>(k), v};
         return {drv, -1, v};
     };

@@ -18,27 +18,10 @@
 
 namespace wrpt {
 
-class thread_pool;
-
 /// Indices of `probs` sorted by increasing probability (SORT); faults with
 /// p <= 0 (proven or suspected undetectable) are excluded. Ties are held
 /// in ascending index order (== stable sort).
 std::vector<std::size_t> sort_faults(std::span<const double> probs);
-
-/// Execution hints for the sharded NORMALIZE. The expensive part of one
-/// J_M-vs-Q decision is the exp(-p_i * M) terms; they are evaluated in
-/// prefix windows cut into fixed-size shards on the pool, and the l/u
-/// bound scan then merges the cached terms in element order — the same
-/// left-to-right reduction as the sequential path, so test_length and nf
-/// are bit-identical for every thread count (threads only decide who
-/// evaluates which shard).
-struct normalize_exec {
-    thread_pool* pool = nullptr;  ///< null = evaluate terms inline
-    unsigned threads = 1;         ///< <=1 = sequential even with a pool
-    /// Terms per shard; a fixed constant (never a function of the thread
-    /// count). Shards below this size are not worth scheduling.
-    std::size_t shard = 1024;
-};
 
 struct normalize_result {
     bool feasible = false;       ///< false if no finite N reaches Q
@@ -49,19 +32,13 @@ struct normalize_result {
 
 /// NORMALIZE over *sorted ascending* probabilities (including only p > 0;
 /// use normalize_detection_probs for the raw-list convenience wrapper).
-/// The `exec` overload shards the objective-term evaluation across the
-/// pool; results are bit-identical to the sequential overload.
+/// It runs on the caller's thread.
 normalize_result normalize_sorted(std::span<const double> sorted_probs,
                                   double q);
-normalize_result normalize_sorted(std::span<const double> sorted_probs,
-                                  double q, const normalize_exec& exec);
 
 /// Convenience: sorts internally and excludes p <= 0 faults (reported in
 /// zero_prob_faults).
 normalize_result normalize_detection_probs(std::span<const double> probs,
                                            double q);
-normalize_result normalize_detection_probs(std::span<const double> probs,
-                                           double q,
-                                           const normalize_exec& exec);
 
 }  // namespace wrpt

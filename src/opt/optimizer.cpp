@@ -5,7 +5,6 @@
 #include "opt/normalize.h"
 #include "opt/objective.h"
 #include "opt/pipeline.h"
-#include "exec/thread_pool.h"
 
 namespace wrpt {
 
@@ -23,18 +22,10 @@ test_length_report required_test_length(const netlist& nl,
                                         detect_estimator& analysis,
                                         const weight_vector& weights,
                                         double confidence, unsigned threads) {
-    const double q = confidence_to_q(confidence);
-    if (threads == 0)
-        threads = std::max(1u, std::thread::hardware_concurrency());
     const std::vector<double> probs = analysis.estimate_faults(
         nl, {faults.data(), faults.size()}, weights, threads);
-
-    // SORT + sharded NORMALIZE (same exec contract as the pipeline's
-    // stages: element-ordered reduction, thread-count invariant).
-    normalize_exec exec;
-    exec.threads = threads;
-    exec.pool = threads > 1 ? &shared_thread_pool() : nullptr;
-    const normalize_result norm = normalize_detection_probs(probs, q, exec);
+    const normalize_result norm =
+        normalize_detection_probs(probs, confidence_to_q(confidence));
 
     test_length_report rep;
     rep.feasible = norm.feasible;

@@ -25,9 +25,9 @@
 // and best-iterate tracking keep the simultaneous update stable.
 //
 // The loop itself lives in opt/pipeline.h as explicit stage objects over
-// a shared optimize_context — ANALYSIS and NORMALIZE shard across the
-// exec/thread_pool (see optimize_options::threads), PREPARE batches onto
-// pool engines, and every stage result is thread-count invariant.
+// a shared optimize_context — ANALYSIS shards across the estimator's
+// thread pool (see optimize_options::threads), PREPARE batches onto pool
+// engines, and every stage result is thread-count invariant.
 
 #pragma once
 
@@ -85,12 +85,13 @@ struct optimize_options {
     /// the cascaded comparator's optimum within ~2% of the fully
     /// sequential sweep while still exposing 16 probes per batch.
     std::size_t prepare_block = 8;
-    /// Worker threads for the sharded ANALYSIS and NORMALIZE stages
-    /// (0 = one per hardware thread, 1 = sequential). Purely a
-    /// performance knob: fault shards and objective-term shards are keyed
-    /// by index and merged in a fixed order, so every stage result —
-    /// weights, history, test lengths — is bit-identical for every value.
-    /// (PREPARE's probe parallelism is the estimator's set_threads.)
+    /// Fault shards for the ANALYSIS stage, run on the estimator's
+    /// thread pool (0 = all of that pool plus the caller, 1 =
+    /// sequential; an estimator without a pool runs sequentially).
+    /// Purely a performance knob: fault shards are keyed by index, so
+    /// every stage result — weights, history, test lengths — is
+    /// bit-identical for every value. (PREPARE's probe parallelism is the
+    /// estimator's set_threads.)
     unsigned threads = 1;
 };
 
@@ -131,8 +132,9 @@ struct test_length_report {
     std::size_t zero_prob_faults = 0;
     double hardest_probability = 0.0;
 };
-/// `threads` shards ANALYSIS (across pool engines) and NORMALIZE's
-/// objective terms; the report is bit-identical for every thread count.
+/// `threads` shards ANALYSIS across pool engines (as
+/// optimize_options::threads); the report is bit-identical for every
+/// thread count.
 test_length_report required_test_length(const netlist& nl,
                                         const std::vector<fault>& faults,
                                         detect_estimator& analysis,

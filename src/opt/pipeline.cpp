@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "exec/thread_pool.h"
 #include "opt/minimize.h"
 #include "opt/objective.h"
 #include "util/error.h"
@@ -18,15 +17,15 @@ double snap_to_grid(double y, double grid, double lo, double hi) {
     return std::clamp(snapped, lo, hi);
 }
 
-/// NORMALIZE over (probabilities, sorted order) with the context's
-/// sharding hints. Pure: reads only its arguments and cx.q/cx.exec.
+/// NORMALIZE over (probabilities, sorted order). Pure: reads only its
+/// arguments and cx.q.
 normalize_result normalize_for(const optimize_context& cx,
                                const std::vector<double>& ps,
                                const std::vector<std::size_t>& ord) {
     std::vector<double> sorted;
     sorted.reserve(ord.size());
     for (std::size_t idx : ord) sorted.push_back(ps[idx]);
-    return normalize_sorted(sorted, cx.q, cx.exec);
+    return normalize_sorted(sorted, cx.q);
 }
 
 /// Select F^: everything whose objective term at the current N is within
@@ -54,7 +53,7 @@ void select_hard(optimize_context& cx) {
 void analysis_stage::run(optimize_context& cx) {
     cx.probs = cx.analysis.estimate_faults(
         cx.nl, {cx.faults.data(), cx.faults.size()}, cx.res.weights,
-        cx.exec.threads);
+        cx.options.threads);
     ++cx.res.analysis_calls;
 }
 
@@ -230,13 +229,6 @@ optimize_pipeline::optimize_pipeline(const netlist& nl,
                 options.weight_min < options.weight_max,
             "optimize_weights: weight bounds must satisfy 0 < min < max < 1");
     require(options.max_sweeps >= 1, "optimize_weights: max_sweeps >= 1");
-
-    const unsigned threads =
-        options.threads == 0
-            ? std::max(1u, std::thread::hardware_concurrency())
-            : options.threads;
-    cx_.exec.threads = threads;
-    cx_.exec.pool = threads > 1 ? &shared_thread_pool() : nullptr;
 
     cx_.res.weights = start;
     for (double& w : cx_.res.weights)

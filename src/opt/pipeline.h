@@ -13,14 +13,13 @@
 // optimize_context and can therefore be parallelized independently:
 //
 //   ANALYSIS    shards the fault list across pool engines
-//               (detect_estimator::estimate_faults), bit-identical for
-//               every thread count,
-//   NORMALIZE   shards the objective-term evaluation (normalize_exec)
-//               with an element-ordered reduction, equally bit-identical,
+//               (detect_estimator::estimate_faults, on the estimator's
+//               thread pool), bit-identical for every thread count,
 //   PREPARE     issues its probe batches to per-engine workers (the
-//               PR-2 estimate_probes path),
-//   SORT / MINIMIZE / SADDLE_ESCAPE stay sequential (cheap or
-//               inherently serial), but run behind the same interface.
+//               batched estimate_probes path, same pool),
+//   SORT / NORMALIZE / MINIMIZE / SADDLE_ESCAPE run on the caller
+//               (cheap or inherently serial), but behind the same
+//               interface.
 //
 // The driver (optimize_pipeline) owns the context and the stage
 // sequence; optimize_weights in optimizer.h is now a thin wrapper.
@@ -57,7 +56,6 @@ struct optimize_context {
     detect_estimator& analysis;
     const optimize_options options;  ///< a copy: callers may pass a temporary
     double q;                 ///< -ln(1 - confidence)
-    normalize_exec exec{};    ///< sharding for ANALYSIS/NORMALIZE
 
     // Current iterate (res.weights is the live weight vector).
     optimize_result res;
@@ -99,7 +97,9 @@ public:
 class analysis_stage final : public optimize_stage {
 public:
     const char* name() const override { return "ANALYSIS"; }
-    const char* reads() const override { return "res.weights, faults"; }
+    const char* reads() const override {
+        return "res.weights, faults, options.threads";
+    }
     const char* writes() const override {
         return "probs, res.analysis_calls";
     }
@@ -117,11 +117,11 @@ public:
     void run(optimize_context& cx) override;
 };
 
-/// NORMALIZE: minimal N with J_N <= Q plus nf, objective terms sharded.
+/// NORMALIZE: minimal N with J_N <= Q plus nf.
 class normalize_stage final : public optimize_stage {
 public:
     const char* name() const override { return "NORMALIZE"; }
-    const char* reads() const override { return "probs, order, q, exec"; }
+    const char* reads() const override { return "probs, order, q"; }
     const char* writes() const override { return "norm"; }
     void run(optimize_context& cx) override;
 };

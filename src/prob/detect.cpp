@@ -1,7 +1,6 @@
 #include "prob/detect.h"
 
 #include <bit>
-#include <thread>
 
 #include "bdd/bdd.h"
 #include "core/circuit_view.h"
@@ -19,7 +18,8 @@
 
 namespace wrpt {
 
-cop_detect_estimator::cop_detect_estimator() = default;
+cop_detect_estimator::cop_detect_estimator(thread_pool* workers)
+    : workers_(workers) {}
 cop_detect_estimator::~cop_detect_estimator() = default;
 
 void cop_detect_estimator::adopt_view(const circuit_view& cv) {
@@ -84,6 +84,13 @@ std::vector<double> cop_detect_estimator::read_faults(
     return out;
 }
 
+/// Parallel items for `threads`: 0 = every pool worker plus the caller;
+/// without a pool everything runs on the caller.
+unsigned cop_detect_estimator::shards(unsigned threads) const {
+    if (workers_ == nullptr) return 1;
+    return threads == 0 ? workers_->size() + 1 : threads;
+}
+
 std::vector<double> cop_detect_estimator::estimate(
     const netlist& nl, const std::vector<fault>& faults,
     const weight_vector& weights) {
@@ -95,9 +102,7 @@ std::vector<double> cop_detect_estimator::estimate_faults(
     const weight_vector& weights, unsigned threads) {
     require(weights.size() == nl.input_count(),
             "cop estimator: weight count mismatch");
-    threads = threads == 0
-                  ? std::max(1u, std::thread::hardware_concurrency())
-                  : threads;
+    threads = shards(threads);
     if (!engine_applies(nl)) {
         // Full-recompute path (the benchmark baseline, and the fast path
         // for circuits with near-global cones): both testability sweeps
@@ -123,7 +128,7 @@ std::vector<double> cop_detect_estimator::estimate_faults(
         if (threads <= 1 || faults.size() < 2) {
             for (std::size_t j = 0; j < faults.size(); ++j) read_one(j);
         } else {
-            shared_thread_pool().parallel_for(faults.size(), read_one);
+            workers_->parallel_for(faults.size(), read_one);
         }
         return out;
     }
@@ -143,7 +148,7 @@ std::vector<double> cop_detect_estimator::estimate_faults(
     const std::size_t chunk = (faults.size() + threads - 1) / threads;
     const std::size_t chunk_count = (faults.size() + chunk - 1) / chunk;
     std::vector<std::uint8_t> fresh(chunk_count, 0);
-    shared_thread_pool().parallel_for(chunk_count, [&](std::size_t c) {
+    workers_->parallel_for(chunk_count, [&](std::size_t c) {
         const engine_pool::lease lease = pool.checkout(weights);
         fresh[c] = lease.fresh() ? 1 : 0;
         const std::size_t begin = c * chunk;
@@ -164,11 +169,8 @@ std::vector<std::vector<double>> cop_detect_estimator::estimate_probes(
         return detect_estimator::estimate_probes(nl, faults, base, probes);
     }
     std::vector<std::vector<double>> out(probes.size());
-    unsigned threads = threads_ == 0
-                           ? std::max(1u, std::thread::hardware_concurrency())
-                           : threads_;
-    threads = static_cast<unsigned>(
-        std::min<std::size_t>(threads, probes.size()));
+    const unsigned threads = static_cast<unsigned>(
+        std::min<std::size_t>(shards(threads_), probes.size()));
 
     for (const probe& p : probes)
         if (p.size() > 1) ++stats_.batched_moves;
@@ -204,7 +206,7 @@ std::vector<std::vector<double>> cop_detect_estimator::estimate_probes(
         (probes.size() + threads - 1) / threads;
     const std::size_t chunk_count = (probes.size() + chunk - 1) / chunk;
     std::vector<std::uint8_t> fresh(chunk_count, 0);
-    shared_thread_pool().parallel_for(chunk_count, [&](std::size_t c) {
+    workers_->parallel_for(chunk_count, [&](std::size_t c) {
         engine_pool::lease lease = pool.checkout(base);
         fresh[c] = lease.fresh() ? 1 : 0;
         cop_engine& engine = lease.engine();
@@ -376,8 +378,9 @@ std::vector<double> mc_detect_estimator::estimate_seeded(
     return out;
 }
 
-std::unique_ptr<detect_estimator> make_estimator(const std::string& name) {
-    if (name == "cop") return std::make_unique<cop_detect_estimator>();
+std::unique_ptr<detect_estimator> make_estimator(const std::string& name,
+                                                 thread_pool* workers) {
+    if (name == "cop") return std::make_unique<cop_detect_estimator>(workers);
     if (name == "exact-bdd") return std::make_unique<exact_detect_estimator>();
     if (name == "monte-carlo") return std::make_unique<mc_detect_estimator>();
     if (name == "stafan") return std::make_unique<stafan_detect_estimator>();

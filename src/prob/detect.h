@@ -29,6 +29,8 @@
 
 namespace wrpt {
 
+class thread_pool;
+
 class detect_estimator {
 public:
     virtual ~detect_estimator() = default;
@@ -61,12 +63,12 @@ public:
 
     /// Sharded ANALYSIS surface: detection probabilities for a fault
     /// shard (or the whole list) at `weights`, with `threads` workers
-    /// (0 = one per hardware thread, 1 = sequential). Results are keyed
-    /// by fault index, and each fault's probability is a pure function of
-    /// (netlist, weights), so the output is bit-identical for every
-    /// thread count — the property the optimizer's sharded ANALYSIS
-    /// stage rests on. The default ignores `threads` and materializes a
-    /// fault vector for estimate().
+    /// (0 = all of the estimator's pool plus the caller, 1 = sequential).
+    /// Results are keyed by fault index, and each fault's probability is
+    /// a pure function of (netlist, weights), so the output is
+    /// bit-identical for every thread count — the property the
+    /// optimizer's sharded ANALYSIS stage rests on. The default ignores
+    /// `threads` and materializes a fault vector for estimate().
     virtual std::vector<double> estimate_faults(const netlist& nl,
                                                 std::span<const fault> faults,
                                                 const weight_vector& weights,
@@ -99,11 +101,15 @@ public:
 /// cop_engines for the last netlist, so PREPARE's single-input probes
 /// cost O(fanout cone of the input) instead of O(nodes) — see
 /// cop_engine.h — and sharded ANALYSIS reads fault shards on concurrent
-/// pool engines. The pool can also be adopted from outside
+/// pool engines. The engine pool can also be adopted from outside
 /// (batch_session keeps one warm per circuit across run() calls).
+///
+/// Sharded ANALYSIS and parallel PREPARE run on `workers`, a thread pool
+/// the caller owns and keeps alive for the estimator's life; with no
+/// pool every call runs on the caller's thread.
 class cop_detect_estimator final : public detect_estimator {
 public:
-    cop_detect_estimator();
+    explicit cop_detect_estimator(thread_pool* workers = nullptr);
     ~cop_detect_estimator() override;
     std::string name() const override { return "cop"; }
     std::vector<double> estimate(const netlist& nl,
@@ -131,8 +137,9 @@ public:
         const netlist& nl, const std::vector<fault>& faults,
         const weight_vector& base, std::span<const probe> probes) override;
 
-    /// Worker threads for estimate_probes (0 = one per hardware thread,
-    /// 1 = sequential). Results are independent of the setting.
+    /// Worker threads for estimate_probes (0 = all of the estimator's
+    /// pool plus the caller, 1 = sequential). Results are independent of
+    /// the setting.
     void set_threads(unsigned threads) override { threads_ = threads; }
 
     /// Disable the incremental path (full recompute per query) — the
@@ -191,7 +198,9 @@ private:
     }
     std::vector<double> read_faults(const class cop_engine& engine,
                                     std::span<const fault> faults) const;
+    unsigned shards(unsigned threads) const;
 
+    thread_pool* workers_;
     bool incremental_ = true;
     unsigned threads_ = 1;
     double engine_cone_limit_ = 0.15;
@@ -270,6 +279,9 @@ private:
     std::uint64_t seed_;
 };
 
-std::unique_ptr<detect_estimator> make_estimator(const std::string& name);
+/// `workers` is the thread pool a cop estimator runs on (see
+/// cop_detect_estimator); the other estimators ignore it.
+std::unique_ptr<detect_estimator> make_estimator(
+    const std::string& name, thread_pool* workers = nullptr);
 
 }  // namespace wrpt

@@ -70,18 +70,21 @@ void run_window(chunk& c, const std::vector<fault>& faults,
 /// Fault-partitioned PPSFP. Chunk c owns faults c, c+k, c+2k, … (strided,
 /// which balances the load). The caller draws a window of blocks from the
 /// single-threaded source, then the chunks run over it as the items of one
-/// parallel_for on the shared pool. Chunks write disjoint first_detected
+/// parallel_for on the caller's pool. Chunks write disjoint first_detected
 /// entries, so the result is the same for every k; threads 1 is k = 1.
 fault_sim_result run_fault_simulation(const circuit_view& cv,
                                       const std::vector<fault>& faults,
                                       pattern_source& source,
                                       const fault_sim_options& options) {
     require(options.max_patterns > 0, "fault sim: max_patterns must be > 0");
-    // 0 = the shared pool's workers plus the caller. k = 1 runs on the
-    // caller alone and leaves the pool untouched.
+    // k = min(threads, pool workers + 1, |faults|), where threads 0 is
+    // the whole pool. k = 1 runs on the caller alone and leaves the pool
+    // untouched.
+    const std::size_t lanes =
+        options.pool == nullptr ? 1 : options.pool->size() + 1;
     std::size_t k = std::min<std::size_t>(
-        options.threads == 0 ? faults.size() : options.threads, faults.size());
-    if (k > 1) k = std::min<std::size_t>(k, shared_thread_pool().size() + 1);
+        {options.threads == 0 ? lanes : options.threads, lanes,
+         faults.size()});
     k = std::max<std::size_t>(k, 1);
 
     std::vector<chunk> chunks;
@@ -112,7 +115,7 @@ fault_sim_result run_fault_simulation(const circuit_view& cv,
         if (k == 1)
             body(0);
         else
-            shared_thread_pool().parallel_for(k, body);
+            options.pool->parallel_for(k, body);
     }
     for (const chunk& c : chunks)
         res.patterns_applied = std::max(res.patterns_applied, c.applied);

@@ -2,7 +2,9 @@
 // fault dropping — regenerates the paper's Tables 2/4 and Fig. 2. One
 // schedule: the fault list is split into strided chunks, and each chunk
 // runs the sequential drop loop over the same pattern blocks on its own
-// simulator, so the result does not depend on the thread count.
+// simulator, so the result does not depend on the thread count. The
+// chunks run on a thread pool the caller passes in; without one the
+// simulation runs on the caller's thread.
 
 #pragma once
 
@@ -17,18 +19,23 @@
 namespace wrpt {
 
 class circuit_view;
+class thread_pool;
 
 struct fault_sim_options {
     std::uint64_t max_patterns = 4096;
-    /// Fault chunks run in parallel: 0 = the shared thread pool's workers
-    /// plus the caller, 1 = one chunk on the caller's thread. The count is
-    /// capped at the pool's workers plus the caller and at the fault
-    /// count. Chunks share one compiled circuit_view and each owns a
-    /// disjoint part of the fault list, so the result is identical for
-    /// every value. `source` is drawn a window of blocks at a time, so a
-    /// run that detects every fault early may have drawn up to one window
-    /// more than it applied; every caller builds its source for one run.
+    /// Fault chunks run in parallel on `pool`: 0 = all of the pool's
+    /// workers plus the caller, 1 = one chunk on the caller's thread. The
+    /// count is capped at the pool's workers plus the caller (1 without a
+    /// pool) and at the fault count. Chunks share one compiled
+    /// circuit_view and each owns a disjoint part of the fault list, so
+    /// the result is identical for every value. `source` is drawn a
+    /// window of blocks at a time, so a run that detects every fault
+    /// early may have drawn up to one window more than it applied; every
+    /// caller builds its source for one run.
     unsigned threads = 0;
+    /// The caller's pool for the chunks; it must outlive the run. Null
+    /// runs every chunk on the caller's thread.
+    thread_pool* pool = nullptr;
 };
 
 struct fault_sim_result {

@@ -8,7 +8,6 @@
 
 #include "bist/lfsr.h"
 #include "bist/misr.h"
-#include "bist/grading.h"
 #include "bist/session.h"
 #include "bist/weightgen.h"
 #include "gen/comparator.h"
@@ -188,35 +187,6 @@ TEST(threshold_source, rejects_bad_configuration) {
     lfsr gen = lfsr::max_length(16, 1);
     std::vector<threshold_tap> bad{{8, 1u << 9}};
     EXPECT_THROW(threshold_pattern_source(gen, bad), invalid_input);
-}
-
-TEST(signature_grading, aliasing_is_rare_and_bounded) {
-    const netlist nl = make_interrupt_controller();
-    const auto faults = generate_full_faults(nl);
-    signature_grading_options opt;
-    opt.patterns = 512;
-    opt.misr_degree = 16;
-    const auto res =
-        grade_by_signature(nl, faults, uniform_weights(nl), opt);
-    EXPECT_EQ(res.faults_total, faults.size());
-    EXPECT_GT(res.detected_by_outputs, faults.size() * 3 / 4);
-    // Signature detection loses at most a few faults to aliasing; the
-    // theoretical rate is ~2^-16.
-    EXPECT_GE(res.detected_by_outputs, res.detected_by_signature);
-    EXPECT_LE(res.aliased, 2u);
-    EXPECT_LT(res.empirical_aliasing_rate(), 0.01);
-}
-
-TEST(signature_grading, consistent_with_output_detection_counts) {
-    const netlist nl = make_cascaded_comparator(2, "cmp8g");
-    const auto faults = generate_full_faults(nl);
-    signature_grading_options opt;
-    opt.patterns = 256;
-    opt.misr_degree = 24;
-    const auto res =
-        grade_by_signature(nl, faults, uniform_weights(nl), opt);
-    EXPECT_EQ(res.detected_by_signature + res.aliased,
-              res.detected_by_outputs);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/gate_eval.h"
+#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/comparator.h"
 #include "gen/random_circuit.h"
@@ -267,11 +268,13 @@ TEST_P(view_seeds, parallel_fault_sim_matches_sequential) {
     const netlist nl = make_test_circuit(GetParam(), 12, 160);
     const auto faults = generate_full_faults(nl);
 
+    thread_pool pool(3);
     fault_sim_options seq;
     seq.max_patterns = 500;  // non-multiple of 64: exercises the tail block
     seq.threads = 1;
     fault_sim_options par = seq;
     par.threads = 4;
+    par.pool = &pool;
 
     const auto a = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 0xfeed, seq);
@@ -289,11 +292,13 @@ TEST(parallel_fault_sim, early_stop_accounting_matches_sequential) {
     // Fully random-testable circuit: both paths stop before the budget.
     const netlist nl = make_cascaded_comparator(1);
     const auto faults = generate_full_faults(nl);
+    thread_pool pool(2);
     fault_sim_options seq;
     seq.max_patterns = 4096;
     seq.threads = 1;
     fault_sim_options par = seq;
     par.threads = 3;
+    par.pool = &pool;
     const auto a =
         run_weighted_fault_simulation(nl, faults, uniform_weights(nl), 11, seq);
     const auto b =
@@ -332,14 +337,16 @@ private:
     weighted_random_source inner_;
 };
 
-// A worker error on the shared-pool path reaches the caller as the
+// A worker error on the pooled path reaches the caller as the
 // sequential path's error, and leaves the pool fit for the next run.
 TEST(parallel_fault_sim, worker_errors_reach_the_caller) {
     const netlist nl = make_test_circuit(12, 12, 160);
     const auto faults = generate_full_faults(nl);
+    thread_pool pool(3);
     fault_sim_options seq;
     seq.max_patterns = 4096;
     seq.threads = 1;
+    seq.pool = &pool;
     const auto want = run_weighted_fault_simulation(
         nl, faults, uniform_weights(nl), 0xfeed, seq);
     // The third block is drawn on both paths.

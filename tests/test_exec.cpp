@@ -134,9 +134,10 @@ TEST(batched_probes, thread_counts_are_bit_identical) {
         probes.push_back({{i, 0.95}});
     }
 
+    thread_pool pool(3);
     std::vector<std::vector<std::vector<double>>> results;
     for (unsigned threads : {1u, 2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&pool);
         cop.set_engine_cone_limit(1.0);
         cop.set_threads(threads);
         results.push_back(cop.estimate_probes(nl, faults, base, probes));
@@ -154,9 +155,10 @@ TEST(batched_probes, optimize_weights_bit_identical_across_thread_counts) {
     const netlist nl = make_sharded_comparators(6, 4);
     const auto faults = generate_full_faults(nl);
 
+    thread_pool pool(3);
     std::vector<optimize_result> runs;
     for (unsigned threads : {1u, 2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&pool);
         cop.set_engine_cone_limit(1.0);
         cop.set_threads(threads);
         runs.push_back(

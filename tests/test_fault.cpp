@@ -136,6 +136,28 @@ TEST_P(collapse_seeds, equivalence_classes_verified_exhaustively) {
 
 INSTANTIATE_TEST_SUITE_P(seeds, collapse_seeds, ::testing::Values(3, 7, 11, 19));
 
+TEST(collapse, primary_output_driving_one_gate_keeps_its_stem_apart) {
+    // x = and(a,b) is a primary output and feeds only y = or(x, c). The
+    // stem fault on x is observed at x itself, so it is not equivalent to
+    // y's pin fault, and neither may land in the class of y's output
+    // fault.
+    netlist nl("po_fanout1");
+    const node_id a = nl.add_input("a");
+    const node_id b = nl.add_input("b");
+    const node_id c = nl.add_input("c");
+    const node_id x = nl.add_binary(gate_kind::and_, a, b, "x");
+    const node_id y = nl.add_binary(gate_kind::or_, x, c, "y");
+    nl.mark_output(x, "x");
+    nl.mark_output(y, "y");
+    const collapsed_faults cf = collapse_faults(nl);
+    for (std::size_t i = 0; i < cf.all.size(); ++i) {
+        const std::size_t rep = cf.representative[cf.class_of[i]];
+        if (rep == i) continue;
+        ASSERT_TRUE(same_test_set(nl, cf.all[i], cf.all[rep]))
+            << to_string(nl, cf.all[i]) << " vs " << to_string(nl, cf.all[rep]);
+    }
+}
+
 TEST(collapse, comparator_reduction_is_substantial) {
     const netlist nl = make_cascaded_comparator(2);
     const collapsed_faults cf = collapse_faults(nl);

@@ -4,13 +4,11 @@
 #include "opt/normalize.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "exec/thread_pool.h"
 #include "opt/objective.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -141,30 +139,6 @@ TEST(normalize, table1_scale_magnitudes) {
     ASSERT_TRUE(res.feasible);
     EXPECT_GT(res.test_length, 5e7);
     EXPECT_LT(res.test_length, 5e9);
-}
-
-// The objective terms exp(-p M) are cut into shards on the pool; the
-// sharded run must stay bit-identical to the sequential one (same
-// fixed-order reduction).
-TEST(SimdExpNegScale, NormalizeMatchesAcrossThreads) {
-    rng r(7);
-    std::vector<double> probs(5000);
-    for (auto& p : probs) p = 1e-6 + 0.2 * r.next_double();
-
-    const normalize_result seq = normalize_detection_probs(probs, 0.999);
-    for (unsigned threads : {2u, 8u}) {
-        normalize_exec ex;
-        ex.pool = &shared_thread_pool();
-        ex.threads = threads;
-        ex.shard = 256;
-        const normalize_result par =
-            normalize_detection_probs(probs, 0.999, ex);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.test_length),
-                  std::bit_cast<std::uint64_t>(par.test_length))
-            << threads;
-        EXPECT_EQ(seq.relevant_faults, par.relevant_faults);
-        EXPECT_EQ(seq.feasible, par.feasible);
-    }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Tests for the staged OPTIMIZE pipeline: stage sequence/contract
-// introspection, the sharded ANALYSIS surface, the sharded NORMALIZE
-// reduction, and the headline guarantee — optimized weights, sweep
-// history, and test-length reports bit-identical across thread counts
-// {1, 2, 8}.
+// introspection, the sharded ANALYSIS surface, and the headline
+// guarantee — optimized weights, sweep history, and test-length reports
+// bit-identical across thread counts {1, 2, 8}. Every multi-thread case
+// runs on a real pool (fixture_pool); an estimator without one would run
+// its shards sequentially and prove nothing.
 
 #include "opt/pipeline.h"
 
@@ -20,12 +21,15 @@
 #include "gen/random_circuit.h"
 #include "gen/sharded.h"
 #include "gen/suite.h"
-#include "opt/normalize.h"
 #include "prob/detect.h"
 #include "util/rng.h"
 
 namespace wrpt {
 namespace {
+
+/// Three workers plus the calling thread: threads 2 and 8 both shard, and
+/// 8 asks for more shards than there are threads.
+constexpr unsigned fixture_workers = 3;
 
 netlist make_test_circuit(std::uint64_t seed, std::size_t inputs = 10,
                           std::size_t gates = 120) {
@@ -81,8 +85,9 @@ TEST(sharded_analysis, estimate_faults_matches_estimate_on_engine_path) {
     seq.set_engine_cone_limit(1.0);
     const std::vector<double> reference = seq.estimate(nl, faults, w);
 
+    thread_pool fixture_pool(fixture_workers);
     for (unsigned threads : {1u, 2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&fixture_pool);
         cop.set_engine_cone_limit(1.0);
         const std::vector<double> sharded = cop.estimate_faults(
             nl, {faults.data(), faults.size()}, w, threads);
@@ -104,8 +109,9 @@ TEST(sharded_analysis, estimate_faults_matches_on_full_recompute_path) {
     seq.set_incremental(false);
     const std::vector<double> reference = seq.estimate(nl, faults, w);
 
+    thread_pool fixture_pool(fixture_workers);
     for (unsigned threads : {2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&fixture_pool);
         cop.set_incremental(false);
         const std::vector<double> sharded = cop.estimate_faults(
             nl, {faults.data(), faults.size()}, w, threads);
@@ -122,7 +128,8 @@ TEST(sharded_analysis, fault_shard_spans_answer_subqueries) {
     const netlist nl = make_sharded_comparators(6, 3);
     const auto faults = generate_full_faults(nl);
     const weight_vector w = uniform_weights(nl);
-    cop_detect_estimator cop;
+    thread_pool fixture_pool(fixture_workers);
+    cop_detect_estimator cop(&fixture_pool);
     cop.set_engine_cone_limit(1.0);
     const std::vector<double> full =
         cop.estimate_faults(nl, {faults.data(), faults.size()}, w, 1);
@@ -154,68 +161,20 @@ TEST(sharded_analysis, estimator_pool_counters_track_warm_reuse) {
     EXPECT_EQ(cop.stats().engine_builds, 1u);
 }
 
-// --- sharded NORMALIZE ---------------------------------------------------
-
-TEST(sharded_normalize, matches_sequential_for_every_thread_count) {
-    // Large sorted lists (forcing several window extensions) with many
-    // near-equal hard faults, so the scan inspects thousands of terms.
-    rng r(99);
-    std::vector<double> sorted;
-    for (std::size_t i = 0; i < 20000; ++i)
-        sorted.push_back(1e-4 * (1.0 + 1e-6 * static_cast<double>(i)) +
-                         1e-9 * r.next_double());
-    std::sort(sorted.begin(), sorted.end());
-
-    const double q = 0.001;
-    const normalize_result reference = normalize_sorted(sorted, q);
-    ASSERT_TRUE(reference.feasible);
-    EXPECT_GT(reference.relevant_faults, 1000u);  // the scan went deep
-
-    for (unsigned threads : {1u, 2u, 8u}) {
-        normalize_exec exec;
-        exec.pool = &shared_thread_pool();
-        exec.threads = threads;
-        exec.shard = 512;
-        const normalize_result sharded = normalize_sorted(sorted, q, exec);
-        EXPECT_EQ(sharded.feasible, reference.feasible);
-        EXPECT_EQ(sharded.test_length, reference.test_length);
-        EXPECT_EQ(sharded.relevant_faults, reference.relevant_faults);
-    }
-}
-
-TEST(sharded_normalize, small_lists_and_edge_cases_unchanged) {
-    normalize_exec exec;
-    exec.pool = &shared_thread_pool();
-    exec.threads = 8;
-    exec.shard = 4;
-
-    const std::vector<double> empty;
-    EXPECT_TRUE(normalize_sorted(empty, 0.01, exec).feasible);
-    EXPECT_EQ(normalize_sorted(empty, 0.01, exec).test_length, 0.0);
-
-    const std::vector<double> undetectable{0.0, 0.5};
-    EXPECT_FALSE(normalize_sorted(undetectable, 0.01, exec).feasible);
-
-    const std::vector<double> simple{0.01, 0.2, 0.9};
-    const normalize_result a = normalize_sorted(simple, 0.001);
-    const normalize_result b = normalize_sorted(simple, 0.001, exec);
-    EXPECT_EQ(a.test_length, b.test_length);
-    EXPECT_EQ(a.relevant_faults, b.relevant_faults);
-}
-
 // --- the headline guarantee ---------------------------------------------
 
 TEST(sharded_pipeline, optimize_bit_identical_across_thread_counts) {
     const netlist nl = make_sharded_comparators(6, 4);
     const auto faults = generate_full_faults(nl);
 
+    thread_pool fixture_pool(fixture_workers);
     std::vector<optimize_result> runs;
     for (unsigned threads : {1u, 2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&fixture_pool);
         cop.set_engine_cone_limit(1.0);
         cop.set_threads(threads);  // PREPARE probe sharding
         optimize_options opt;
-        opt.threads = threads;     // ANALYSIS/NORMALIZE stage sharding
+        opt.threads = threads;     // ANALYSIS stage sharding
         runs.push_back(
             optimize_weights(nl, faults, cop, uniform_weights(nl), opt));
     }
@@ -269,6 +228,7 @@ TEST(pipeline, optimize_suite_matches_golden) {
         circuits.emplace_back(e.name, e.build());
     circuits.emplace_back("sharded", make_sharded_comparators(224, 8));
 
+    thread_pool fixture_pool(fixture_workers);
     std::string actual;
     for (std::size_t k = 0; k < circuits.size(); ++k) {
         const auto& [name, nl] = circuits[k];
@@ -279,7 +239,7 @@ TEST(pipeline, optimize_suite_matches_golden) {
         std::string lines[2];
         for (unsigned t : {0u, 1u}) {
             const unsigned threads = t == 0 ? 1u : 8u;
-            cop_detect_estimator cop;
+            cop_detect_estimator cop(&fixture_pool);
             cop.set_threads(threads);
             optimize_options opt;
             opt.threads = threads;
@@ -308,9 +268,10 @@ TEST(sharded_pipeline, test_length_report_bit_identical_across_threads) {
     const auto faults = generate_full_faults(nl);
     const weight_vector w = uniform_weights(nl);
 
+    thread_pool fixture_pool(fixture_workers);
     std::vector<test_length_report> reports;
     for (unsigned threads : {1u, 2u, 8u}) {
-        cop_detect_estimator cop;
+        cop_detect_estimator cop(&fixture_pool);
         cop.set_engine_cone_limit(1.0);
         reports.push_back(
             required_test_length(nl, faults, cop, w, 0.999, threads));

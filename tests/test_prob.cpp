@@ -1,6 +1,6 @@
 // Tests for the probability-analysis engines: COP signal probabilities,
-// cutting-algorithm bounds, observabilities, and the four detection
-// probability estimators against ground truth.
+// observabilities, and the four detection probability estimators against
+// ground truth.
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "fault/fault.h"
 #include "gen/random_circuit.h"
 #include "gen/wordlib.h"
-#include "prob/cutting.h"
 #include "prob/detect.h"
 #include "prob/observability.h"
 #include "prob/redundancy.h"
@@ -80,38 +79,6 @@ TEST(cop_signal, reconvergence_is_approximate_but_bounded) {
 }
 
 class prob_seeds : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(prob_seeds, cutting_bounds_contain_exact_probability) {
-    random_circuit_spec spec;
-    spec.inputs = 8;
-    spec.gates = 50;
-    spec.seed = GetParam();
-    const netlist nl = make_random_circuit(spec);
-    rng r(spec.seed + 5);
-    weight_vector w(nl.input_count());
-    for (auto& x : w) x = 0.1 + 0.8 * r.next_double();
-    const auto exact = exact_signal_probabilities_enum(nl, w);
-    const auto bounds = cutting_signal_bounds(nl, w);
-    for (node_id n = 0; n < nl.node_count(); ++n) {
-        EXPECT_TRUE(bounds[n].contains(exact[n]))
-            << "node " << n << ": exact " << exact[n] << " not in ["
-            << bounds[n].low << ", " << bounds[n].high << "]";
-        EXPECT_LE(bounds[n].low, bounds[n].high + 1e-12);
-    }
-}
-
-TEST_P(prob_seeds, cutting_bounds_tight_on_trees) {
-    const netlist nl = tree_circuit();
-    rng r(GetParam());
-    weight_vector w(nl.input_count());
-    for (auto& x : w) x = r.next_double();
-    const auto bounds = cutting_signal_bounds(nl, w);
-    const auto cop = cop_signal_probabilities(nl, w);
-    for (node_id n = 0; n < nl.node_count(); ++n) {
-        EXPECT_NEAR(bounds[n].low, cop[n], 1e-12);
-        EXPECT_NEAR(bounds[n].high, cop[n], 1e-12);
-    }
-}
 
 INSTANTIATE_TEST_SUITE_P(seeds, prob_seeds, ::testing::Values(1, 4, 9, 16, 25));
 

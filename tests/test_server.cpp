@@ -1117,6 +1117,35 @@ TEST(server, thread_count_does_not_scale_with_connections) {
     srv.stop();
     srv.wait();
 }
+
+TEST(server, tenant_threads_run_on_the_session_pool) {
+    // One compute pool per process: the daemon runs the reactor, the
+    // --workers set and the session pool (--threads), whatever the
+    // hardware. A tenant's optimize with threads 8 shards its stages on
+    // the session pool, so it starts no thread of its own.
+    service::options so;
+    so.threads = 2;
+    service svc(so);
+    server::options opt;
+    opt.workers = 2;
+    server srv(svc, unique_unix_endpoint(), opt);
+    client c(srv.where());
+    ASSERT_TRUE(c.roundtrip(load_request(small_circuit(29), 1)).ok);
+
+    const int before = process_thread_count();
+    ASSERT_GT(before, 0);
+    optimize_request op;
+    op.circuit = 0;
+    op.options.max_sweeps = 2;
+    op.options.threads = 8;
+    const response r = c.roundtrip(job_line(2, op));
+    ASSERT_TRUE(r.ok);
+    EXPECT_FALSE(std::get<optimize_response>(r.payload).cached);
+    EXPECT_EQ(process_thread_count(), before)
+        << "a tenant's threads must not start threads";
+    srv.stop();
+    srv.wait();
+}
 #endif  // __linux__
 
 #if defined(__SANITIZE_THREAD__)

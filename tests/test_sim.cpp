@@ -14,6 +14,7 @@
 
 #include "helpers.h"
 
+#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/comparator.h"
 #include "gen/random_circuit.h"
@@ -240,7 +241,8 @@ std::string golden_line(const std::string& name, const char* weights,
 // cascaded comparator (which detects every fault early, pinning the
 // early-stop accounting), simulated for a 1000-pattern budget (not a
 // multiple of 64) under uniform weights and under a seeded vector in
-// [0.1, 0.9], at threads 1 and 4, must reproduce
+// [0.1, 0.9], at threads 1 and 4 (on a pool of three workers plus the
+// caller), must reproduce
 // tests/golden/fault_sim_suite.golden byte for byte. On a mismatch the
 // fresh lines are written to fault_sim_suite.actual in the working
 // directory; copy that over the golden only for a change that is meant
@@ -252,6 +254,7 @@ TEST(fault_sim, suite_matches_golden) {
     circuits.emplace_back("sharded", make_sharded_comparators(224, 8));
     circuits.emplace_back("cascaded1", make_cascaded_comparator(1));
 
+    thread_pool pool(3);
     std::string actual;
     for (std::size_t k = 0; k < circuits.size(); ++k) {
         const auto& [name, nl] = circuits[k];
@@ -267,6 +270,7 @@ TEST(fault_sim, suite_matches_golden) {
                 fault_sim_options opt;
                 opt.max_patterns = 1000;
                 opt.threads = t == 0 ? 1u : 4u;
+                opt.pool = &pool;
                 lines[t] = golden_line(
                     name, label,
                     run_weighted_fault_simulation(nl, faults, weights,
@@ -303,15 +307,17 @@ TEST(fault_sim, suite_matches_golden) {
 #define WRPT_TSAN 0
 #endif
 
-/// Runs `faults` at each thread count against the threads 1 reference;
-/// every count must give the same first detections and stopping point.
+/// Runs `faults` at each thread count on `pool` against the threads 1
+/// reference; every count must give the same first detections and
+/// stopping point.
 void expect_thread_count_invariant(
-    const netlist& nl, const std::vector<fault>& faults, std::uint64_t budget,
-    std::initializer_list<unsigned> thread_counts) {
+    thread_pool& pool, const netlist& nl, const std::vector<fault>& faults,
+    std::uint64_t budget, std::initializer_list<unsigned> thread_counts) {
     const weight_vector w = uniform_weights(nl);
     fault_sim_options ref;
     ref.max_patterns = budget;
     ref.threads = 1;
+    ref.pool = &pool;
     const fault_sim_result want =
         run_weighted_fault_simulation(nl, faults, w, 0xfeed, ref);
 
@@ -334,15 +340,17 @@ void expect_thread_count_invariant(
 // The full fault-simulation result — first_detected per fault AND
 // patterns_applied — is invariant across thread counts, including budgets
 // that are not multiples of 64. Fault chunks are strided over the fault
-// list, so 3 threads gives uneven chunks and 64 asks for far more chunks
-// than the pool can run.
+// list, so 3 threads gives uneven chunks, and 64 asks for far more chunks
+// than the pool's seven workers plus the caller can run (k is capped at
+// 8), as does 0 (the whole pool).
 TEST(fault_sim, thread_count_invariant) {
+    thread_pool pool(7);
     for (const char* name : {"S1", "c432"}) {
         const netlist nl = build_suite_circuit(name);
         const std::vector<fault> faults = generate_full_faults(nl);
         for (const std::uint64_t budget : {320u, 832u})
-            expect_thread_count_invariant(nl, faults, budget,
-                                          {1u, 2u, 3u, 8u, 64u});
+            expect_thread_count_invariant(pool, nl, faults, budget,
+                                          {0u, 1u, 2u, 3u, 8u, 64u});
     }
     // S2's 21k faults are the load the chunks are for; its budget (a
     // partial tail block) keeps the test short.
@@ -351,11 +359,12 @@ TEST(fault_sim, thread_count_invariant) {
     const std::vector<fault> all = generate_full_faults(s2);
     for (std::size_t i = 0; i < all.size(); i += WRPT_TSAN ? 16 : 1)
         s2_faults.push_back(all[i]);
-    expect_thread_count_invariant(s2, s2_faults, 200, {1u, 2u, 3u, 8u, 64u});
+    expect_thread_count_invariant(pool, s2, s2_faults, 200,
+                                  {1u, 2u, 3u, 8u, 64u});
     // One fault: the chunk count is capped at the fault count.
     const netlist nl = build_suite_circuit("c432");
     const std::vector<fault> one{generate_full_faults(nl).back()};
-    expect_thread_count_invariant(nl, one, 832, {8u});
+    expect_thread_count_invariant(pool, nl, one, 832, {8u});
 }
 
 TEST(patterns, explicit_source_padding_and_order) {

@@ -20,9 +20,11 @@
 //                 (wrpt::mutex & friends carry the thread-safety
 //                 annotations); raw std::mutex/locks/condition_variable
 //                 and their headers are forbidden elsewhere.
-//   raw-thread    src/ and tools/ run work on exec::thread_pool: a
-//                 std::thread/std::jthread object appears only in
-//                 exec/thread_pool.* and svc/server.* (the reactor).
+//   raw-thread    src/ and tools/ run work on a caller's exec::thread_pool:
+//                 a std::thread/std::jthread object appears only in
+//                 exec/thread_pool.* and svc/server.* (the reactor), and
+//                 no thread_pool is static (a process-wide pool runs
+//                 threads no option sizes).
 //                 std::thread::hardware_concurrency() stays allowed.
 //
 // Escape hatch: `// wrpt-lint: allow(<rule>[,<rule>...])` on the same
@@ -78,7 +80,7 @@ constexpr rule_info kRules[] = {
      "and friends"},
     {"raw-thread",
      "std::thread/std::jthread objects in src/ and tools/ only inside "
-     "exec/thread_pool.* and svc/server.*"},
+     "exec/thread_pool.* and svc/server.*, and no static thread_pool"},
 };
 
 constexpr std::size_t kRuleCount = sizeof(kRules) / sizeof(kRules[0]);
@@ -514,11 +516,25 @@ void check_raw_mutex(const std::string& path,
     }
 }
 
+/// `owns_threads`: the unit may hold thread objects (the pool itself and
+/// the server's reactor). A static pool is flagged everywhere.
 void check_raw_thread(const std::string& path,
                       const std::vector<scanned_line>& lines,
-                      std::vector<violation>& out) {
+                      bool owns_threads, std::vector<violation>& out) {
     for (std::size_t li = 0; li < lines.size(); ++li) {
         const std::string& code = lines[li].code;
+        // A static declaration whose type names thread_pool: the text
+        // from `static` up to the initializer, parameter list or `;`.
+        for (std::size_t pos : find_token(code, "static")) {
+            const std::size_t end = code.find_first_of("(;={", pos);
+            const std::string decl = code.substr(pos, end - pos);
+            if (find_token(decl, "thread_pool", true).empty()) continue;
+            out.push_back({path, li + 1, "raw-thread",
+                           "static thread_pool: a process-wide pool runs "
+                           "threads no option sizes; run the work on the "
+                           "caller's thread_pool"});
+        }
+        if (owns_threads) continue;
         for (const char* t : {"std::thread", "std::jthread"}) {
             for (std::size_t pos : find_token(code, t)) {
                 // std::thread::hardware_concurrency() and std::thread::id
@@ -529,8 +545,8 @@ void check_raw_thread(const std::string& path,
                 out.push_back({path, li + 1, "raw-thread",
                                std::string(t) +
                                    " object outside exec/thread_pool and "
-                                   "svc/server: run the work on the shared "
-                                   "thread_pool"});
+                                   "svc/server: run the work on the "
+                                   "caller's thread_pool"});
             }
         }
     }
@@ -569,10 +585,11 @@ bool lint_file(const std::string& path, lint_result& res) {
         check_blocking_io(path, lines, found);
     if (!ends_with(comps, "util", "sync.h"))
         check_raw_mutex(path, lines, found);
-    if ((has_component(comps, "src") || has_component(comps, "tools")) &&
-        !is_unit(comps, "exec", "thread_pool") &&
-        !is_unit(comps, "svc", "server"))
-        check_raw_thread(path, lines, found);
+    if (has_component(comps, "src") || has_component(comps, "tools"))
+        check_raw_thread(path, lines,
+                         is_unit(comps, "exec", "thread_pool") ||
+                             is_unit(comps, "svc", "server"),
+                         found);
 
     for (violation& v : found) {
         const std::size_t li = v.line - 1;

@@ -67,12 +67,14 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/compact.h"
 #include "atpg/podem.h"
 #include "bist/session.h"
 #include "exec/batch_session.h"
+#include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/suite.h"
 #include "io/bench_io.h"
@@ -150,6 +152,15 @@ netlist load_circuit(const std::string& spec) {
     return build_suite_circuit(spec);
 }
 
+/// The command's one compute pool: `threads` threads in all, this one
+/// included (0 = one per hardware thread). Null when that is one thread.
+std::unique_ptr<thread_pool> compute_pool(unsigned threads) {
+    if (threads == 0)
+        threads = std::max(1u, std::thread::hardware_concurrency());
+    return threads > 1 ? std::make_unique<thread_pool>(threads - 1)
+                       : nullptr;
+}
+
 weight_vector load_weights(const cli_options& opt, const netlist& nl) {
     const std::string path = opt.flag("weights", "");
     if (path.empty()) return uniform_weights(nl);
@@ -193,13 +204,14 @@ int cmd_lengths(const cli_options& opt) {
 int cmd_optimize(const cli_options& opt) {
     const netlist nl = load_circuit(opt.circuit);
     const auto faults = generate_full_faults(nl);
-    auto estimator = make_estimator(opt.flag("estimator", "cop"));
-    // --threads drives every parallel stage: batched PREPARE on pool
-    // engines (set_threads) and the sharded ANALYSIS/NORMALIZE stages
-    // (optimize_options::threads). Results are bit-identical for every
-    // thread count.
+    // --threads sizes the one pool every parallel stage runs on: batched
+    // PREPARE on pool engines (set_threads) and the sharded ANALYSIS
+    // stage (optimize_options::threads). Results are bit-identical for
+    // every thread count.
     const unsigned threads =
         static_cast<unsigned>(opt.flag_u64("threads", 1, UINT_MAX));
+    const auto pool = compute_pool(threads);
+    auto estimator = make_estimator(opt.flag("estimator", "cop"), pool.get());
     estimator->set_threads(threads);
     optimize_options oo;
     oo.threads = threads;
@@ -230,9 +242,12 @@ int cmd_simulate(const cli_options& opt) {
     const auto faults = generate_full_faults(nl);
     fault_sim_options fo;
     fo.max_patterns = opt.flag_u64("patterns", 4096);
-    // Fault chunks: 0 = the shared pool's workers plus this thread,
-    // 1 = one chunk here. The counts are identical for every value.
+    // Fault chunks on a pool of --threads threads in all (0 = one per
+    // hardware thread); 1 runs one chunk here. The counts are identical
+    // for every value.
     fo.threads = static_cast<unsigned>(opt.flag_u64("threads", 0, UINT_MAX));
+    const auto pool = compute_pool(fo.threads);
+    fo.pool = pool.get();
     stopwatch sw;
     const auto res = run_weighted_fault_simulation(
         nl, faults, load_weights(opt, nl), opt.flag_u64("seed", 1), fo);
@@ -333,8 +348,9 @@ int cmd_batch(const cli_options& opt) {
     }
 
     const bool optimize = opt.flag_u64("optimize", 1) != 0;
-    // Per-job stage threads (sharded ANALYSIS/NORMALIZE inside one job);
-    // default 1 because the jobs themselves fill the session pool.
+    // Per-job stage threads (sharded ANALYSIS and PREPARE inside one job,
+    // on the session pool); default 1 because the jobs themselves fill
+    // that pool.
     const unsigned stage_threads =
         static_cast<unsigned>(opt.flag_u64("stage-threads", 1, UINT_MAX));
 
