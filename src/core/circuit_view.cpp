@@ -53,6 +53,20 @@ circuit_view circuit_view::compile(const netlist& nl,
             for (node_id f : cv.fanins(id)) cv.fanout_pool_[cursor[f]++] = id;
     }
 
+    cv.inputs_.assign(nl.inputs().begin(), nl.inputs().end());
+    cv.outputs_.assign(nl.outputs().begin(), nl.outputs().end());
+    for (std::size_t i = 0; i < cv.inputs_.size(); ++i)
+        cv.input_index_[cv.inputs_[i]] = static_cast<std::uint32_t>(i);
+    for (node_id o : cv.outputs_) cv.is_output_[o] = 1;
+
+    // FFR stems in one backward pass: a fanout-1 node's single consumer
+    // has a larger id, so its stem is already known.
+    cv.ffr_stem_.resize(n);
+    for (node_id id = static_cast<node_id>(n); id-- > 0;)
+        cv.ffr_stem_[id] = cv.fanout_count(id) != 1 || cv.is_output_[id]
+                               ? id
+                               : cv.ffr_stem_[cv.fanouts(id)[0]];
+
     // Driven-pin transpose: for each stem, the pin indices its consumers
     // read it on, in fanout-scan order (one sublist of matching pins per
     // driving edge, mirroring the scan the backward passes used to do).
@@ -96,12 +110,6 @@ circuit_view circuit_view::compile(const netlist& nl,
         for (node_id id = 0; id < n; ++id)
             cv.level_nodes_[cursor[cv.level_[id]]++] = id;
     }
-
-    cv.inputs_.assign(nl.inputs().begin(), nl.inputs().end());
-    cv.outputs_.assign(nl.outputs().begin(), nl.outputs().end());
-    for (std::size_t i = 0; i < cv.inputs_.size(); ++i)
-        cv.input_index_[cv.inputs_[i]] = static_cast<std::uint32_t>(i);
-    for (node_id o : cv.outputs_) cv.is_output_[o] = 1;
 
     if (options.input_cones) {
         // One forward mark-propagation pass per input: a node is in the

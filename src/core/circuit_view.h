@@ -5,7 +5,9 @@
 // profiles, the coordinate-descent OPTIMIZE loop — is repeated traversals
 // of the same combinational network. The view compiles the traversal
 // structure once: flat CSR fanin/fanout arrays, level buckets for
-// event-driven wavefronts, and (optionally) the precomputed transitive
+// event-driven wavefronts, the fanout-free region (FFR) stem of every
+// node, which lets fault simulation trace a fault to its stem and
+// propagate each stem once, and (optionally) the precomputed transitive
 // fanout cone of every primary input, which turns the optimizer's
 // per-input re-analysis from O(nodes) into O(cone).
 //
@@ -95,6 +97,13 @@ public:
                 driven_pool_.data() + driven_offset_[n + 1]};
     }
 
+    /// Stem of the fanout-free region containing n. A node is its own
+    /// stem when it drives other than exactly one fanin edge or is a
+    /// primary output; otherwise its stem is the stem of its single
+    /// fanout. Every path from n to an output passes through the stem.
+    node_id ffr_stem(node_id n) const { return ffr_stem_[n]; }
+    bool is_stem(node_id n) const { return ffr_stem_[n] == n; }
+
     /// Nodes of logic level l, ascending node id. l <= depth().
     std::span<const node_id> nodes_at_level(std::size_t l) const {
         return {level_nodes_.data() + level_offset_[l],
@@ -148,6 +157,7 @@ private:
     std::vector<node_id> fanout_pool_;
     std::vector<std::uint32_t> level_offset_;   // size depth + 2
     std::vector<node_id> level_nodes_;
+    std::vector<node_id> ffr_stem_;
     std::vector<std::uint32_t> driven_offset_;  // size node_count + 1
     std::vector<std::uint32_t> driven_pool_;
 

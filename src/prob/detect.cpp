@@ -1,6 +1,7 @@
 #include "prob/detect.h"
 
 #include <bit>
+#include <numeric>
 
 #include "bdd/bdd.h"
 #include "core/circuit_view.h"
@@ -358,6 +359,9 @@ std::vector<double> mc_detect_estimator::estimate_seeded(
     simulator sim(nl);
     weighted_random_source source(weights, seed);
     std::vector<std::uint64_t> hits(faults.size(), 0);
+    std::vector<std::size_t> all(faults.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::uint64_t> masks(faults.size());
     std::vector<std::uint64_t> words;
     std::uint64_t applied = 0;
     while (applied < patterns_) {
@@ -367,9 +371,10 @@ std::vector<double> mc_detect_estimator::estimate_seeded(
             std::min<std::uint64_t>(64, patterns_ - applied);
         const std::uint64_t valid =
             block == 64 ? ~0ULL : ((1ULL << block) - 1);
+        sim.detect_masks(faults, all, masks);
         for (std::size_t i = 0; i < faults.size(); ++i)
             hits[i] += static_cast<std::uint64_t>(
-                std::popcount(sim.detect_mask(faults[i]) & valid));
+                std::popcount(masks[i] & valid));
         applied += block;
     }
     std::vector<double> out(faults.size());

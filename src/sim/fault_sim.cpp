@@ -25,11 +25,12 @@ namespace {
 /// against the per-round join.
 constexpr std::size_t window_blocks = 64;
 
-/// One fault chunk: a private simulator over the shared view and the
-/// live (still undetected) fault indices it owns.
+/// One fault chunk: a private simulator over the shared view, the live
+/// (still undetected) fault indices it owns and their detection masks.
 struct chunk {
     simulator sim;
     std::vector<std::size_t> live;
+    std::vector<std::uint64_t> masks;
     std::uint64_t applied = 0;
 };
 
@@ -49,15 +50,16 @@ void run_window(chunk& c, const std::vector<fault>& faults,
         const std::uint64_t valid_mask =
             block_size == 64 ? ~0ULL : ((1ULL << block_size) - 1);
 
+        c.masks.resize(c.live.size());
+        c.sim.detect_masks(faults, c.live, c.masks);
         std::size_t keep = 0;
-        for (const std::size_t fi : c.live) {
-            const std::uint64_t mask =
-                c.sim.detect_mask(faults[fi]) & valid_mask;
+        for (std::size_t i = 0; i < c.live.size(); ++i) {
+            const std::uint64_t mask = c.masks[i] & valid_mask;
             if (mask == 0) {
-                c.live[keep++] = fi;
+                c.live[keep++] = c.live[i];
                 continue;
             }
-            first_detected[fi] =
+            first_detected[c.live[i]] =
                 c.applied + static_cast<std::uint64_t>(std::countr_zero(mask));
         }
         c.live.resize(keep);
@@ -67,11 +69,13 @@ void run_window(chunk& c, const std::vector<fault>& faults,
 
 }  // namespace
 
-/// Fault-partitioned PPSFP. Chunk c owns faults c, c+k, c+2k, … (strided,
-/// which balances the load). The caller draws a window of blocks from the
-/// single-threaded source, then the chunks run over it as the items of one
-/// parallel_for on the caller's pool. Chunks write disjoint first_detected
-/// entries, so the result is the same for every k; threads 1 is k = 1.
+/// Fault-partitioned PPSFP. The faults are grouped by the FFR stem of
+/// their site, and whole groups are dealt round-robin to the k chunks, so
+/// each stem is propagated once per block in all, not once per chunk. The
+/// caller draws a window of blocks from the single-threaded source, then
+/// the chunks run over it as the items of one parallel_for on the
+/// caller's pool. Chunks write disjoint first_detected entries, so the
+/// result is the same for every k; threads 1 is k = 1.
 fault_sim_result run_fault_simulation(const circuit_view& cv,
                                       const std::vector<fault>& faults,
                                       pattern_source& source,
@@ -89,10 +93,15 @@ fault_sim_result run_fault_simulation(const circuit_view& cv,
 
     std::vector<chunk> chunks;
     chunks.reserve(k);
-    for (std::size_t c = 0; c < k; ++c) {
-        chunks.push_back({simulator(cv), {}});
-        for (std::size_t fi = c; fi < faults.size(); fi += k)
-            chunks.back().live.push_back(fi);
+    for (std::size_t c = 0; c < k; ++c)
+        chunks.push_back({simulator(cv), {}, {}});
+    // Whole FFR groups, dealt in order of first appearance; k = unowned.
+    std::vector<std::size_t> owner(cv.node_count(), k);
+    std::size_t groups = 0;
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+        std::size_t& c = owner[cv.ffr_stem(faults[fi].where)];
+        if (c == k) c = groups++ % k;
+        chunks[c].live.push_back(fi);
     }
 
     fault_sim_result res;

@@ -1,8 +1,10 @@
 // Parallel-pattern single-fault-propagation (PPSFP) fault simulation with
 // fault dropping — regenerates the paper's Tables 2/4 and Fig. 2. One
-// schedule: the fault list is split into strided chunks, and each chunk
-// runs the sequential drop loop over the same pattern blocks on its own
-// simulator, so the result does not depend on the thread count. The
+// schedule: the faults are grouped by the fanout-free-region stem of
+// their site, whole groups are dealt round-robin to chunks, and each
+// chunk runs the sequential drop loop over the same pattern blocks on its
+// own simulator (simulator::detect_masks, which propagates each stem once
+// per block), so the result does not depend on the thread count. The
 // chunks run on a thread pool the caller passes in; without one the
 // simulation runs on the caller's thread.
 
@@ -27,7 +29,7 @@ struct fault_sim_options {
     /// workers plus the caller, 1 = one chunk on the caller's thread. The
     /// count is capped at the pool's workers plus the caller (1 without a
     /// pool) and at the fault count. Chunks share one compiled
-    /// circuit_view and each owns a disjoint part of the fault list, so
+    /// circuit_view and each owns whole FFR groups of the fault list, so
     /// the result is identical for every value. `source` is drawn a
     /// window of blocks at a time, so a run that detects every fault
     /// early may have drawn up to one window more than it applied; every

@@ -1,5 +1,7 @@
 #include "sim/logic_sim.h"
 
+#include <algorithm>
+
 #include "core/gate_eval.h"
 #include "util/error.h"
 
@@ -18,12 +20,13 @@ simulator::simulator(const circuit_view& view) : view_(&view) {
 void simulator::init_scratch() {
     const std::size_t n = view_->node_count();
     good_.assign(n, 0);
-    args_.assign(view_->max_arity(), 0);
+    sens_.assign(n, 0);
+    sens_stamp_.assign(n, 0);
+    flip_.assign(n, 0);
     faulty_.assign(n, 0);
     has_faulty_.assign(n, 0);
     queued_.assign(n, 0);
     buckets_.resize(view_->depth() + 1);
-    output_diff_.assign(view_->output_count(), 0);
 }
 
 void simulator::simulate(std::span<const std::uint64_t> input_words) {
@@ -42,6 +45,11 @@ void simulator::simulate(std::span<const std::uint64_t> input_words) {
             word_algebra{}, cv.kind(n),
             [&](std::size_t k) { return good_[fi[k]]; }, fi.size());
     }
+    // New block: every memoized sensitization is stale.
+    if (++stamp_ == 0) {
+        std::fill(sens_stamp_.begin(), sens_stamp_.end(), 0);
+        stamp_ = 1;
+    }
 }
 
 std::uint64_t simulator::eval_node(node_id n) {
@@ -59,109 +67,161 @@ std::uint64_t simulator::eval_node(node_id n) {
 void simulator::schedule(node_id n) {
     if (!queued_[n]) {
         queued_[n] = 1;
+        ++pending_;
         buckets_[view_->level(n)].push_back(n);
     }
 }
 
-std::uint64_t simulator::detect_mask(const fault& f) {
+std::uint64_t simulator::sensitivity(node_id n) {
     const circuit_view& cv = *view_;
-    std::fill(output_diff_.begin(), output_diff_.end(), 0);
-
-    const std::uint64_t forced = stuck_value(f.value) ? ~0ULL : 0ULL;
-    std::uint64_t detected = 0;
-    std::size_t start_level = 0;
-
-    auto mark = [&](node_id n, std::uint64_t value) {
-        faulty_[n] = value;
-        has_faulty_[n] = 1;
-        touched_.push_back(n);
-        for (node_id fo : cv.fanouts(n)) schedule(fo);
-    };
-
-    if (f.is_stem()) {
-        const node_id n = f.where;
-        if ((good_[n] ^ forced) == 0) return 0;  // fault never activated
-        mark(n, forced);
-        if (cv.is_output(n)) detected |= good_[n] ^ forced;
-        start_level = cv.level(n);
-    } else {
-        // Branch fault: only gate f.where sees the forced value on pin f.pin.
-        const node_id g = f.where;
-        const auto fi = cv.fanins(g);
-        for (std::size_t k = 0; k < fi.size(); ++k) args_[k] = good_[fi[k]];
-        args_[static_cast<std::size_t>(f.pin)] = forced;
-        const std::uint64_t v =
-            eval_gate(word_algebra{}, cv.kind(g), args_.data(), fi.size());
-        if (v == good_[g]) return 0;
-        mark(g, v);
-        queued_[g] = 0;  // g itself is final; only its fanouts propagate
-        if (cv.is_output(g)) detected |= good_[g] ^ v;
-        start_level = cv.level(g);
+    // Walk up the fanout-1 chain to the stem or to the first memoized
+    // node, then fill the memo back down. Iterative: a chain can be as
+    // deep as the circuit.
+    std::uint64_t s = ~0ULL;
+    for (node_id m = n; !cv.is_stem(m); m = cv.fanouts(m)[0]) {
+        if (sens_stamp_[m] == stamp_) {
+            s = sens_[m];
+            break;
+        }
+        chain_.push_back(m);
     }
+    while (!chain_.empty()) {
+        const node_id m = chain_.back();
+        chain_.pop_back();
+        if (s != 0) {
+            // m drives exactly one pin of its single consumer g: flip it.
+            const node_id g = cv.fanouts(m)[0];
+            const auto fi = cv.fanins(g);
+            s &= good_[g] ^ eval_gate_with(
+                                word_algebra{}, cv.kind(g),
+                                [&](std::size_t k) {
+                                    return fi[k] == m ? ~good_[m]
+                                                      : good_[fi[k]];
+                                },
+                                fi.size());
+        }
+        sens_[m] = s;
+        sens_stamp_[m] = stamp_;
+    }
+    return s;
+}
+
+std::uint64_t simulator::propagate(node_id n, std::uint64_t value) {
+    const circuit_view& cv = *view_;
+    std::uint64_t detected = 0;
+    const auto mark = [&](node_id m, std::uint64_t v) {
+        faulty_[m] = v;
+        has_faulty_[m] = 1;
+        touched_.push_back(m);
+        if (cv.is_output(m)) detected |= good_[m] ^ v;
+        for (node_id fo : cv.fanouts(m)) schedule(fo);
+    };
+    mark(n, value);
 
     // Levelized wavefront: every edge increases the level, so processing
     // buckets in ascending level order finalizes each node exactly once.
-    for (std::size_t lvl = start_level; lvl < buckets_.size(); ++lvl) {
+    // It ends as soon as no scheduled node is left.
+    for (std::size_t lvl = cv.level(n) + 1; pending_ > 0; ++lvl) {
         auto& bucket = buckets_[lvl];
-        for (std::size_t idx = 0; idx < bucket.size(); ++idx) {
-            const node_id n = bucket[idx];
-            queued_[n] = 0;
-            if (has_faulty_[n]) continue;  // the injected node stays forced
-            const std::uint64_t v = eval_node(n);
-            if (v == good_[n]) continue;
-            mark(n, v);
-            if (cv.is_output(n)) detected |= good_[n] ^ v;
+        pending_ -= bucket.size();
+        for (const node_id m : bucket) {
+            queued_[m] = 0;
+            const std::uint64_t v = eval_node(m);
+            if (v != good_[m]) mark(m, v);
         }
         bucket.clear();
     }
 
-    // Record per-output differences, then reset scratch state.
-    if (detected != 0) {
-        const auto outputs = cv.outputs();
-        for (std::size_t o = 0; o < outputs.size(); ++o) {
-            const node_id out = outputs[o];
-            if (has_faulty_[out]) output_diff_[o] = good_[out] ^ faulty_[out];
-        }
-    }
-    for (node_id n : touched_) has_faulty_[n] = 0;
+    for (node_id m : touched_) has_faulty_[m] = 0;
     touched_.clear();
     return detected;
 }
 
-std::vector<bool> evaluate(const netlist& nl, const std::vector<bool>& inputs) {
+void simulator::detect_masks(std::span<const fault> faults,
+                             std::span<const std::size_t> live,
+                             std::span<std::uint64_t> out) {
+    require(out.size() == live.size(),
+            "simulator::detect_masks: out size != live size");
+    const circuit_view& cv = *view_;
+
+    // Each fault's flip at its FFR stem: the local flip at its site,
+    // masked by the site's sensitization. OR them per stem.
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        const fault& f = faults[live[i]];
+        const std::uint64_t forced = stuck_value(f.value) ? ~0ULL : 0ULL;
+        const node_id site = f.where;
+        std::uint64_t d = good_[site] ^ forced;
+        if (!f.is_stem()) {
+            // Branch fault: only gate `site` sees the forced value on f.pin.
+            const auto fi = cv.fanins(site);
+            const auto pin = static_cast<std::size_t>(f.pin);
+            d = good_[site] ^ eval_gate_with(
+                                  word_algebra{}, cv.kind(site),
+                                  [&](std::size_t k) {
+                                      return k == pin ? forced : good_[fi[k]];
+                                  },
+                                  fi.size());
+        }
+        if (d != 0) d &= sensitivity(site);
+        out[i] = d;
+        if (d == 0) continue;
+        const node_id stem = cv.ffr_stem(site);
+        if (flip_[stem] == 0) stems_.push_back(stem);
+        flip_[stem] |= d;
+    }
+
+    // One propagation per flipped stem; the patterns are independent
+    // bits, so each fault's bits see the stem's own observability.
+    for (const node_id s : stems_) flip_[s] = propagate(s, good_[s] ^ flip_[s]);
+    for (std::size_t i = 0; i < live.size(); ++i)
+        if (out[i] != 0) out[i] &= flip_[cv.ffr_stem(faults[live[i]].where)];
+    for (const node_id s : stems_) flip_[s] = 0;
+    stems_.clear();
+}
+
+namespace {
+
+/// Scalar sweep of `nl` over one pattern, with `f` injected when non-null.
+std::vector<bool> scalar_outputs(const netlist& nl,
+                                 const std::vector<bool>& inputs,
+                                 const fault* f) {
     require(inputs.size() == nl.input_count(),
             "evaluate: input size mismatch");
-    simulator sim(nl);
-    std::vector<std::uint64_t> words(inputs.size());
+    std::vector<bool> value(nl.node_count());
     for (std::size_t i = 0; i < inputs.size(); ++i)
-        words[i] = inputs[i] ? 1ULL : 0ULL;
-    sim.simulate(words);
+        value[nl.inputs()[i]] = inputs[i];
+    for (node_id n = 0; n < nl.node_count(); ++n) {
+        if (nl.kind(n) != gate_kind::input) {
+            const auto fi = nl.fanins(n);
+            const bool on_pin = f != nullptr && !f->is_stem() && f->where == n;
+            value[n] = eval_gate_with(
+                bool_algebra{}, nl.kind(n),
+                [&](std::size_t k) -> bool {
+                    if (on_pin && k == static_cast<std::size_t>(f->pin))
+                        return stuck_value(f->value);
+                    return value[fi[k]];
+                },
+                fi.size());
+        }
+        if (f != nullptr && f->is_stem() && f->where == n)
+            value[n] = stuck_value(f->value);
+    }
     std::vector<bool> out;
     out.reserve(nl.output_count());
-    for (node_id o : nl.outputs()) out.push_back((sim.value(o) & 1ULL) != 0);
+    for (node_id o : nl.outputs()) out.push_back(value[o]);
     return out;
+}
+
+}  // namespace
+
+std::vector<bool> evaluate(const netlist& nl, const std::vector<bool>& inputs) {
+    return scalar_outputs(nl, inputs, nullptr);
 }
 
 std::vector<bool> evaluate_with_fault(const netlist& nl,
                                       const std::vector<bool>& inputs,
                                       const fault& f) {
-    require(inputs.size() == nl.input_count(),
-            "evaluate_with_fault: input size mismatch");
-    simulator sim(nl);
-    std::vector<std::uint64_t> words(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        words[i] = inputs[i] ? 1ULL : 0ULL;
-    sim.simulate(words);
-    const std::uint64_t mask = sim.detect_mask(f);
-    std::vector<bool> out;
-    out.reserve(nl.output_count());
-    for (std::size_t o = 0; o < nl.output_count(); ++o) {
-        bool good_bit = (sim.value(nl.outputs()[o]) & 1ULL) != 0;
-        const bool flipped = (sim.last_output_diff()[o] & 1ULL) != 0;
-        out.push_back(flipped ? !good_bit : good_bit);
-    }
-    (void)mask;
-    return out;
+    return scalar_outputs(nl, inputs, &f);
 }
 
 }  // namespace wrpt

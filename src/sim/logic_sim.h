@@ -1,6 +1,13 @@
-// Levelized 64-bit parallel-pattern logic simulation with event-driven
-// single-fault propagation (the PPSFP kernel), over a compiled
-// circuit_view.
+// Levelized 64-bit parallel-pattern logic simulation and exact
+// parallel-pattern stuck-at detection over a compiled circuit_view.
+//
+// Detection works per fanout-free region (FFR), after Abramovici, Menon &
+// Miller's critical path tracing. Inside an FFR a fault's effect reaches
+// the region's stem along one path, so the patterns on which it flips the
+// stem follow from the fault-free values alone: its local flip at the
+// site, masked by the site's sensitization to the stem. Every stem whose
+// faults flip it on some pattern is then propagated once, event-driven,
+// to find the patterns on which that flip reaches a primary output.
 
 #pragma once
 
@@ -39,40 +46,51 @@ public:
     std::uint64_t value(node_id n) const { return good_[n]; }
     std::span<const std::uint64_t> values() const { return good_; }
 
-    /// 64-bit mask of block patterns whose primary-output response differs
-    /// under `f` from the fault-free response (event-driven levelized
-    /// resimulation of the fault's fanout cone). Requires a prior
-    /// simulate() call.
-    std::uint64_t detect_mask(const fault& f);
-
-    /// Word of output differences per output index (parallel to
-    /// circuit().outputs()) for the last detect_mask call. Used by
-    /// signature-analysis clients that need per-output faulty responses.
-    std::span<const std::uint64_t> last_output_diff() const {
-        return output_diff_;
-    }
+    /// out[i] = 64-bit mask of block patterns whose primary-output
+    /// response differs under faults[live[i]] from the fault-free one.
+    /// Exact for single stuck-at faults, and each mask depends on its
+    /// fault alone, whatever else `live` holds. Each FFR stem is
+    /// propagated at most once per call. Requires a prior simulate().
+    void detect_masks(std::span<const fault> faults,
+                      std::span<const std::size_t> live,
+                      std::span<std::uint64_t> out);
 
 private:
     void init_scratch();
     std::uint64_t eval_node(node_id n);
     void schedule(node_id n);
+    /// Patterns on which n flips its FFR stem when n itself flips.
+    std::uint64_t sensitivity(node_id n);
+    /// Force `value` on node n and propagate it event-driven; returns the
+    /// patterns on which some primary output differs.
+    std::uint64_t propagate(node_id n, std::uint64_t value);
 
     std::unique_ptr<const circuit_view> owned_view_;  // null when sharing
     const circuit_view* view_;
     std::vector<std::uint64_t> good_;
 
+    // Sensitization memo, valid where sens_stamp_ == stamp_ (one stamp
+    // per simulated block).
+    std::vector<std::uint64_t> sens_;
+    std::vector<std::uint32_t> sens_stamp_;
+    std::uint32_t stamp_ = 0;
+    std::vector<node_id> chain_;
+
+    // Per-stem flip union, then observability, for one detect_masks call.
+    std::vector<std::uint64_t> flip_;
+    std::vector<node_id> stems_;
+
     // Scratch state for event-driven faulty propagation.
-    std::vector<std::uint64_t> args_;  // gather buffer, max_arity words
     std::vector<std::uint64_t> faulty_;
     std::vector<std::uint8_t> has_faulty_;
     std::vector<std::uint8_t> queued_;
     std::vector<std::vector<node_id>> buckets_;  // by level
+    std::size_t pending_ = 0;                    // queued, not yet popped
     std::vector<node_id> touched_;
-    std::vector<std::uint64_t> output_diff_;
 };
 
-/// Single-pattern convenience evaluation (reference path for tests):
-/// returns output values, ordered like nl.outputs().
+/// Single-pattern evaluation (scalar reference path): returns output
+/// values, ordered like nl.outputs().
 std::vector<bool> evaluate(const netlist& nl, const std::vector<bool>& inputs);
 
 /// Single-pattern faulty evaluation under fault `f`.

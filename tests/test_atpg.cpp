@@ -180,6 +180,25 @@ TEST(compaction, preserves_coverage_and_shrinks) {
     EXPECT_EQ(sim.detected_count, faults.size());
 }
 
+// A block shorter than 64 patterns is padded with all-zero patterns;
+// those bits must not count as detections. y = nor(a, b) stuck-at-0 is
+// detected only by a = b = 0, which none of the 65 patterns is.
+TEST(compaction, padding_bits_are_not_patterns) {
+    netlist nl("nor2");
+    const node_id a = nl.add_input("a");
+    const node_id b = nl.add_input("b");
+    const node_id y = nl.add_binary(gate_kind::nor_, a, b);
+    nl.mark_output(y, "y");
+    const std::vector<fault> faults{{y, -1, stuck_at::zero},
+                                    {y, -1, stuck_at::one}};
+    const std::vector<std::vector<bool>> patterns(65, {true, true});
+
+    const compaction_result res = compact_test_set(nl, faults, patterns);
+    EXPECT_EQ(res.detected, 1u);  // only y stuck-at-1
+    ASSERT_EQ(res.patterns.size(), 1u);
+    EXPECT_EQ(res.patterns[0], (std::vector<bool>{true, true}));
+}
+
 TEST(compaction, empty_and_width_checks) {
     const netlist nl = make_cascaded_comparator(1, "cmp4x");
     const auto faults = generate_full_faults(nl);

@@ -105,6 +105,52 @@ TEST_P(view_seeds, input_cones_match_netlist_fanout_cones) {
     }
 }
 
+// FFR stems: a node is its own stem iff it drives other than exactly one
+// fanin edge or is a primary output; otherwise it shares its single
+// consumer's stem.
+TEST_P(view_seeds, ffr_stems_follow_single_fanouts) {
+    const netlist nl = make_test_circuit(GetParam());
+    const circuit_view cv = circuit_view::compile(nl);
+    for (node_id n = 0; n < nl.node_count(); ++n) {
+        const bool own = cv.fanout_count(n) != 1 || cv.is_output(n);
+        EXPECT_EQ(cv.is_stem(n), own) << "node " << n;
+        EXPECT_TRUE(cv.is_stem(cv.ffr_stem(n)));
+        if (!own) {
+            EXPECT_EQ(cv.ffr_stem(n), cv.ffr_stem(cv.fanouts(n)[0]));
+        }
+    }
+}
+
+TEST(circuit_view, ffr_stem_corner_cases) {
+    netlist nl("ffr");
+    const node_id a = nl.add_input("a");
+    const node_id b = nl.add_input("b");
+    const node_id c = nl.add_input("c");
+    const node_id chain1 = nl.add_binary(gate_kind::and_, a, b);  // fanout 1
+    const node_id chain2 = nl.add_unary(gate_kind::not_, chain1);
+    const node_id top = nl.add_binary(gate_kind::xor_, chain2, c);
+    nl.mark_output(top, "top");
+    const node_id twice = nl.add_binary(gate_kind::or_, b, c);  // two pins
+    const node_id both = nl.add_binary(gate_kind::and_, twice, twice);
+    const node_id po = nl.add_unary(gate_kind::buf, both);  // PO, fanout 1
+    nl.mark_output(po, "po");
+    const node_id after = nl.add_binary(gate_kind::nor_, po, a);
+    nl.mark_output(after, "after");
+    const node_id feeds_dead = nl.add_unary(gate_kind::not_, a);
+    const node_id dead = nl.add_unary(gate_kind::buf, feeds_dead);
+
+    const circuit_view cv = circuit_view::compile(nl);
+    EXPECT_EQ(cv.ffr_stem(chain1), top);
+    EXPECT_EQ(cv.ffr_stem(chain2), top);
+    EXPECT_EQ(cv.ffr_stem(top), top);
+    EXPECT_EQ(cv.ffr_stem(c), c);          // fanout 2
+    EXPECT_EQ(cv.ffr_stem(twice), twice);  // one gate, two pins
+    EXPECT_EQ(cv.ffr_stem(both), po);
+    EXPECT_EQ(cv.ffr_stem(po), po);        // output with fanout 1
+    EXPECT_EQ(cv.ffr_stem(dead), dead);    // no fanout
+    EXPECT_EQ(cv.ffr_stem(feeds_dead), dead);
+}
+
 // --- incremental COP vs full recompute ----------------------------------
 
 TEST_P(view_seeds, incremental_cop_update_matches_full_recompute) {

@@ -3,10 +3,12 @@
 
 #include "sim/logic_sim.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -14,6 +16,7 @@
 
 #include "helpers.h"
 
+#include "core/circuit_view.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
 #include "gen/comparator.h"
@@ -95,6 +98,45 @@ TEST_P(sim_seeds, block_simulation_matches_naive) {
     }
 }
 
+/// Bit b of `words` as one pattern.
+std::vector<bool> pattern_at(const std::vector<std::uint64_t>& words, int b) {
+    std::vector<bool> in(words.size());
+    for (std::size_t i = 0; i < words.size(); ++i)
+        in[i] = ((words[i] >> b) & 1ULL) != 0;
+    return in;
+}
+
+/// Checks every bit of every fault's detection mask, all faults in one
+/// detect_masks call, against naive single-pattern fault injection, over
+/// two blocks on one simulator (no state may leak between blocks).
+void expect_masks_match_naive(const netlist& nl,
+                              const std::vector<fault>& faults,
+                              std::uint64_t seed) {
+    simulator sim(nl);
+    rng r(seed);
+    std::vector<std::size_t> live(faults.size());
+    for (std::size_t i = 0; i < live.size(); ++i) live[i] = i;
+    std::vector<std::uint64_t> masks(faults.size());
+    std::vector<std::uint64_t> words(nl.input_count());
+    for (int block = 0; block < 2; ++block) {
+        for (auto& w : words) w = r.next_word();
+        sim.simulate(words);
+        sim.detect_masks(faults, live, masks);
+        for (int b = 0; b < 64; ++b) {
+            const auto in = pattern_at(words, b);
+            const auto good = evaluate(nl, in);
+            for (std::size_t i = 0; i < faults.size(); ++i) {
+                const bool detected =
+                    naive_faulty_outputs(nl, in, faults[i]) != good;
+                ASSERT_EQ(((masks[i] >> b) & 1ULL) != 0, detected)
+                    << to_string(nl, faults[i]) << " block " << block
+                    << " pattern " << b;
+            }
+        }
+    }
+}
+
+// One fault per detect_masks call: a mask depends on its fault alone.
 TEST_P(sim_seeds, detect_mask_matches_naive_fault_injection) {
     random_circuit_spec spec;
     spec.inputs = 8;
@@ -108,23 +150,147 @@ TEST_P(sim_seeds, detect_mask_matches_naive_fault_injection) {
     for (auto& w : words) w = r.next_word();
     sim.simulate(words);
 
-    // Reference outputs per pattern.
-    std::vector<std::vector<bool>> patterns(8);
-    for (int b = 0; b < 8; ++b) {
-        patterns[b].resize(nl.input_count());
-        for (std::size_t i = 0; i < nl.input_count(); ++i)
-            patterns[b][i] = ((words[i] >> b) & 1ULL) != 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        const std::size_t live[] = {i};
+        std::uint64_t mask = 0;
+        sim.detect_masks(faults, live, std::span(&mask, 1));
+        for (int b = 0; b < 8; ++b) {
+            const auto in = pattern_at(words, b);
+            const bool detected =
+                evaluate(nl, in) != naive_faulty_outputs(nl, in, faults[i]);
+            ASSERT_EQ(((mask >> b) & 1ULL) != 0, detected)
+                << to_string(nl, faults[i]) << " pattern " << b;
+        }
+    }
+}
+
+TEST_P(sim_seeds, detect_masks_match_naive_fault_injection) {
+    random_circuit_spec spec;
+    spec.inputs = 10;
+    spec.gates = 80;
+    spec.seed = GetParam();
+    const netlist nl = make_random_circuit(spec);
+    expect_masks_match_naive(nl, generate_full_faults(nl), spec.seed + 7);
+}
+
+/// Every stem fault on every node and every branch fault on every pin,
+/// dead nodes and fanout-1 branches included.
+std::vector<fault> every_fault(const netlist& nl) {
+    std::vector<fault> out;
+    for (node_id n = 0; n < nl.node_count(); ++n) {
+        for (const stuck_at v : {stuck_at::zero, stuck_at::one}) {
+            out.push_back({n, -1, v});
+            for (std::size_t k = 0; k < nl.fanin_count(n); ++k)
+                out.push_back({n, static_cast<std::int32_t>(k), v});
+        }
+    }
+    return out;
+}
+
+// The FFR corner cases in one netlist: a fanout-1 chain deeper than 64
+// levels (xor and xnor inside it) ending in a primary output, a node
+// feeding one gate on two pins, a fanout-1 primary output that feeds a
+// gate, a dead node behind a fanout-1 node, and constant gates.
+TEST(detect_masks, ffr_corner_cases_match_naive) {
+    netlist nl("ffr_corners");
+    std::vector<node_id> x;
+    for (int i = 0; i < 6; ++i) x.push_back(nl.add_input(testing::label_x(i)));
+
+    node_id chain = nl.add_binary(gate_kind::and_, x[0], x[1]);
+    for (int i = 0; i < 80; ++i) {
+        if (i == 30) {
+            chain = nl.add_binary(gate_kind::or_, chain, x[0]);
+            continue;
+        }
+        if (i == 60) {
+            chain = nl.add_binary(gate_kind::nand_, x[1], chain);
+            continue;
+        }
+        switch (i % 5) {
+            case 0: chain = nl.add_binary(gate_kind::xor_, chain, x[2]); break;
+            case 1: chain = nl.add_binary(gate_kind::xnor_, x[3], chain); break;
+            case 2: chain = nl.add_unary(gate_kind::not_, chain); break;
+            case 3: chain = nl.add_unary(gate_kind::buf, chain); break;
+            default: chain = nl.add_gate(gate_kind::xor_, {x[4], chain, x[5]});
+        }
+    }
+    nl.mark_output(chain, "chain");
+
+    // One node on two pins of one gate, in an even and an odd function.
+    const node_id p = nl.add_binary(gate_kind::or_, x[0], x[2]);
+    const node_id twice = nl.add_gate(gate_kind::xor_, {p, p, x[1]});
+    const node_id q = nl.add_binary(gate_kind::nor_, x[3], x[4]);
+    const node_id twice_nand = nl.add_binary(gate_kind::nand_, q, q);
+    nl.mark_output(nl.add_binary(gate_kind::and_, twice, twice_nand), "twice");
+
+    // A fanout-1 primary output feeding a gate.
+    const node_id po = nl.add_binary(gate_kind::nand_, x[1], x[3]);
+    nl.mark_output(po, "po");
+    nl.mark_output(nl.add_binary(gate_kind::or_, po, x[5]), "after_po");
+
+    // A dead node fed by a fanout-1 node.
+    const node_id feeds_dead = nl.add_binary(gate_kind::and_, x[0], x[5]);
+    nl.add_unary(gate_kind::not_, feeds_dead);
+
+    // Constants inside an FFR.
+    const node_id k0 = nl.add_const(false);
+    const node_id k1 = nl.add_const(true);
+    const node_id s = nl.add_binary(gate_kind::or_, k0, x[2]);
+    nl.mark_output(nl.add_binary(gate_kind::and_, k1, s), "consts");
+
+    const circuit_view cv = circuit_view::compile(nl);
+    ASSERT_GT(cv.depth(), 64u);
+    expect_masks_match_naive(nl, every_fault(nl), 0xc0de);
+}
+
+/// First pattern index at which `f` changes an output, by naive
+/// injection over `patterns`, or nullopt.
+std::optional<std::uint64_t> naive_first_detection(
+    const netlist& nl, const fault& f,
+    const std::vector<std::vector<bool>>& patterns) {
+    for (std::size_t t = 0; t < patterns.size(); ++t) {
+        const auto& in = patterns[t];
+        if (evaluate(nl, in) != naive_faulty_outputs(nl, in, f)) return t;
+    }
+    return std::nullopt;
+}
+
+// An arbitrary sub-list (every 7th fault, reversed, one fault twice)
+// gives each fault its naive first detection at every chunk count.
+TEST(fault_sim, sub_list_matches_naive) {
+    random_circuit_spec spec;
+    spec.inputs = 10;
+    spec.gates = 90;
+    spec.seed = 31;
+    const netlist nl = make_random_circuit(spec);
+    const auto all = generate_full_faults(nl);
+    std::vector<fault> faults;
+    for (std::size_t i = 0; i < all.size(); i += 7) faults.push_back(all[i]);
+    std::reverse(faults.begin(), faults.end());
+    faults.push_back(faults[faults.size() / 2]);
+
+    constexpr std::uint64_t budget = 300;
+    weighted_random_source draw(uniform_weights(nl), 0xab);
+    std::vector<std::vector<bool>> patterns;
+    std::vector<std::uint64_t> words;
+    while (patterns.size() < budget) {
+        draw.next_block(words);
+        for (int b = 0; b < 64 && patterns.size() < budget; ++b)
+            patterns.push_back(pattern_at(words, b));
     }
 
-    for (const fault& f : faults) {
-        const std::uint64_t mask = sim.detect_mask(f);
-        for (int b = 0; b < 8; ++b) {
-            const auto good = evaluate(nl, patterns[b]);
-            const auto bad = naive_faulty_outputs(nl, patterns[b], f);
-            const bool detected = good != bad;
-            ASSERT_EQ(((mask >> b) & 1ULL) != 0, detected)
-                << to_string(nl, f) << " pattern " << b;
-        }
+    thread_pool pool(2);
+    for (const unsigned threads : {1u, 3u}) {
+        fault_sim_options opt;
+        opt.max_patterns = budget;
+        opt.threads = threads;
+        opt.pool = &pool;
+        const auto res = run_weighted_fault_simulation(
+            nl, faults, uniform_weights(nl), 0xab, opt);
+        for (std::size_t i = 0; i < faults.size(); ++i)
+            ASSERT_EQ(res.first_detected[i],
+                      naive_first_detection(nl, faults[i], patterns))
+                << to_string(nl, faults[i]) << " threads " << threads;
     }
 }
 
@@ -294,19 +460,6 @@ TEST(fault_sim, suite_matches_golden) {
     }
 }
 
-// TSan multiplies runtimes; the thread-count suite thins S2's fault list
-// under it but keeps the same chunk shapes.
-#if defined(__SANITIZE_THREAD__)
-#define WRPT_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define WRPT_TSAN 1
-#endif
-#endif
-#ifndef WRPT_TSAN
-#define WRPT_TSAN 0
-#endif
-
 /// Runs `faults` at each thread count on `pool` against the threads 1
 /// reference; every count must give the same first detections and
 /// stopping point.
@@ -355,11 +508,7 @@ TEST(fault_sim, thread_count_invariant) {
     // S2's 21k faults are the load the chunks are for; its budget (a
     // partial tail block) keeps the test short.
     const netlist s2 = build_suite_circuit("S2");
-    std::vector<fault> s2_faults;
-    const std::vector<fault> all = generate_full_faults(s2);
-    for (std::size_t i = 0; i < all.size(); i += WRPT_TSAN ? 16 : 1)
-        s2_faults.push_back(all[i]);
-    expect_thread_count_invariant(pool, s2, s2_faults, 200,
+    expect_thread_count_invariant(pool, s2, generate_full_faults(s2), 200,
                                   {1u, 2u, 3u, 8u, 64u});
     // One fault: the chunk count is capped at the fault count.
     const netlist nl = build_suite_circuit("c432");
